@@ -214,6 +214,8 @@ def run(spec: ExperimentSpec, with_timing: bool = True) -> RunReport:
         reg.require_admissible()
     except (RegularityError, ValueError, FileNotFoundError) as exc:
         raise SpecValidationError(str(exc)) from exc
+    if not (math.isfinite(spec.a) and math.isfinite(spec.b) and spec.a < spec.b):
+        raise SpecValidationError(f"need finite a < b, got a={spec.a}, b={spec.b}")
     for m in spec.methods:
         if m not in ("fractional", "sewing"):
             raise SpecValidationError(f"unknown method {m!r}")

@@ -9,6 +9,11 @@ Everything downstream consumes fields through three calls:
 The singular kernels divide these increments by powers of |t - s| and |x - y|,
 so subclasses arrange the arithmetic to preserve their smallness (factored
 products, nodal second differences) instead of subtracting four large values.
+
+Separable media W(t, x) = g(t) h(x) also expose their factors through
+time_space_factors(); the consumers that exploit separability (the
+fractional terms I2-I4 and the sewing sums) read g and h from there instead
+of going through the increment calls.
 """
 
 from __future__ import annotations
@@ -378,15 +383,13 @@ def holder_seminorm_field(
     dt_pow = (ts_t - ts_s) ** reg.tau
     dx_pow = (xs_t - xs_s) ** reg.lam
 
-    time_term = 0.0
-    for x in x_probe:
-        ratios = np.abs(w.increment_t(ts_s, ts_t, x)) / dt_pow
-        time_term = max(time_term, float(np.max(ratios)))
-
-    space_term = 0.0
-    for t in t_probe:
-        ratios = np.abs(w.increment_x(t, xs_s, xs_t)) / dx_pow
-        space_term = max(space_term, float(np.max(ratios)))
+    # all probes in one call each: (pairs, 1) against (1, probes)
+    time_term = float(
+        np.max(np.abs(w.increment_t(ts_s[:, None], ts_t[:, None], x_probe)) / dt_pow[:, None])
+    )
+    space_term = float(
+        np.max(np.abs(w.increment_x(t_probe, xs_s[:, None], xs_t[:, None])) / dx_pow[:, None])
+    )
 
     rect_term = 0.0
     chunk = max(1, 2_000_000 // max(1, xs_s.size))

@@ -126,6 +126,11 @@ class NormEstimates:
     box: tuple[float, float]
 
 
+def _require_interval(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got a={a}, b={b}")
+
+
 def _phi_box(phi, a: float, b: float, n: int = 1024) -> tuple[float, float]:
     ts = np.linspace(a, b, n + 1)
     v = np.asarray(phi(ts), dtype=float)
@@ -300,8 +305,7 @@ def integrate_fractional(
     of the a-priori bound  ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
     """
     cfg = cfg or QuadratureConfig()
-    if b <= a:
-        raise ValueError("need a < b")
+    _require_interval(a, b)
     reg.require_admissible()
     alpha = reg.alpha
     t0 = time.perf_counter()
@@ -373,6 +377,46 @@ class SewingTrace:
         return float(-slope)
 
 
+def _interleave(coarse: np.ndarray, mid) -> np.ndarray:
+    """Values at the nodes of the next dyadic level from the coarse nodes and
+    the new midpoints."""
+    out = np.empty(coarse.size + np.size(mid))
+    out[::2] = coarse
+    out[1::2] = mid
+    return out
+
+
+def _germ_sums(w: Field, phi, a: float, b: float):
+    """Germ Riemann sums over the dyadic partitions of [a, b], coarsest first."""
+    germ = Germ(w, phi)
+    k = 0
+    while True:
+        ts = np.linspace(a, b, 2**k + 1)
+        yield float(np.sum(germ(ts[:-1], ts[1:])))
+        k += 1
+
+
+def _separable_sums(g, h, phi, a: float, b: float):
+    """The sums of _germ_sums for W = g(t) h(x) with a plain g.
+
+    The germ is (g(t_(i+1)) - g(t_i)) h(phi(t_i)), and each partition is the
+    previous one plus its midpoints, so g and h(phi) are carried at the nodes
+    and only evaluated at the new midpoints.  These midpoints are bitwise the
+    odd nodes of np.linspace(a, b, n + 1) and the even ones are bitwise the
+    coarser level's nodes, so the sums match _germ_sums bit for bit.
+    """
+    ts = np.linspace(a, b, 2)
+    gv = np.asarray(g(ts), dtype=float)
+    hv = np.asarray(h(phi(ts)), dtype=float)
+    n = 1
+    while True:
+        yield float(np.sum((gv[1:] - gv[:-1]) * hv[:-1]))
+        n *= 2
+        mid = np.arange(1, n, 2) * ((b - a) / n) + a
+        gv = _interleave(gv, g(mid))
+        hv = _interleave(hv, h(phi(mid)))
+
+
 def integrate_sewing(
     w: Field,
     phi,
@@ -385,20 +429,30 @@ def integrate_sewing(
     """int_a^b W(dt, phi_t) as the limit of germ Riemann sums.
 
     Dyadic partitions with 2^k intervals are refined until successive sums
-    differ by less than tol (or max_levels is hit); the reported value is the
-    Richardson extrapolation of the last three sums at the observed order,
-    falling back to the finest sum when the order estimate is unstable.
+    differ by less than tol (or max_levels is hit); params["stop_reason"]
+    says which.  The reported value is the Richardson extrapolation of the
+    last three sums at the observed order, falling back to the finest sum
+    when the order estimate is unstable.
+
+    Separable media W = g(t) h(x) whose g has no `diff` (so g increments are
+    plain differences) reuse the nodes of the coarser partitions: g, phi and
+    h are evaluated at 2^L + 1 points in all for L = levels_used.  Every
+    other medium (grids, sums, differences, diagonal media, products with a
+    sampled g) calls the germ on all 2^k + 1 nodes of every level.
     """
-    if b <= a:
-        raise ValueError("need a < b")
+    _require_interval(a, b)
     t0 = time.perf_counter()
-    germ = Germ(w, phi)
+    factors = w.time_space_factors()
+    if factors is not None and not hasattr(factors[0], "diff"):
+        level_sums = _separable_sums(factors[0], factors[1], phi, float(a), float(b))
+    else:
+        level_sums = _germ_sums(w, phi, a, b)
     sums: list[float] = []
-    for k in range(max_levels + 1):
-        ts = np.linspace(a, b, 2**k + 1)
-        mu = germ(ts[:-1], ts[1:])
-        sums.append(float(np.sum(mu)))
+    stop_reason = "max_levels"
+    for k, level_sum in zip(range(max_levels + 1), level_sums):
+        sums.append(level_sum)
         if k >= min_levels and abs(sums[-1] - sums[-2]) < tol:
+            stop_reason = "tol"
             break
 
     diffs = np.abs(np.diff(sums))
@@ -431,7 +485,13 @@ def integrate_sewing(
         levels_used=len(sums) - 1,
         runtime_ms=runtime_ms,
         converged=converged,
-        params={"a": a, "b": b, "max_levels": max_levels, "tol": tol},
+        params={
+            "a": a,
+            "b": b,
+            "max_levels": max_levels,
+            "tol": tol,
+            "stop_reason": stop_reason,
+        },
     )
     return report, SewingTrace(tuple(sums), value, orders)
 

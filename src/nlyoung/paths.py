@@ -168,8 +168,14 @@ class WeierstrassFunction:
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         out = np.zeros_like(arr)
+        tmp = np.empty_like(arr)
         for a, w, p in zip(self._amps, self._freqs, self.phases):
-            out += a * np.cos(w * arr + p)
+            # out += a * cos(w * arr + p), without a temporary per operation
+            np.multiply(arr, w, out=tmp)
+            tmp += p
+            np.cos(tmp, out=tmp)
+            tmp *= a
+            out += tmp
         return out if np.ndim(t) else float(out)
 
     @property

@@ -1,4 +1,4 @@
-"""Singular quadrature on geometric meshes.
+"""Singular quadrature on algebraically graded meshes.
 
 All integrals in this package reduce to the form
 
@@ -11,10 +11,11 @@ Holder continuous) near u = 0.  Each mesh cell contributes
                        c_k = u^p-weighted centroid of the cell,
 
 both in closed form, so the rule is exact whenever G is affine on a cell.  The
-mesh is geometric from a relative floor up to L, which spreads the cells evenly
-across the scales where a power kernel carries its mass.  For p <= -1 (the
-Marchaud difference kernels) the floor cell is excluded and its contribution is
-modeled analytically with the declared Holder exponent of the difference.
+mesh is algebraically graded toward u = 0, with edges L (k/n)^g and the
+exponent g chosen so the composite rule is second order for the kernel's
+power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
+a relative floor, the floor cell is excluded and its contribution is modeled
+analytically with the declared Holder exponent of the difference.
 """
 
 from __future__ import annotations

@@ -69,6 +69,24 @@ def test_inadmissible_exponents_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("a, b", [("nan", "1"), ("0", "inf"), ("1", "0")])
+def test_invalid_endpoints_exit_2(capsys, a, b):
+    code = main(
+        [
+            "integrate", "--method", "sewing",
+            "--field", "product:g=(sin),h=(identity)",
+            "--path", "identity",
+            "--a", a, "--b", b,
+            "--tau", "1", "--lambda", "1", "--gamma", "1",
+            "--no-timestamp",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite a < b" in captured.err
+
+
 def test_inadmissible_message_cites_condition(capsys):
     code = main(
         [

@@ -177,6 +177,38 @@ def test_field_seminorm_factorizes_for_products():
     assert rep.rect_term == pytest.approx(g_norm * h_norm, rel=0.15)
 
 
+def _looped_time_space_terms(w, reg, a, b, box):
+    """The time and space seminorm terms with one increment call per probe."""
+    from nlyoung.fields import _axis_pairs
+
+    ts_s, ts_t = _axis_pairs(a, b, 40, 384, 16)
+    xs_s, xs_t = _axis_pairs(box[0], box[1], 40, 384, 16)
+    time_term = max(
+        float(np.max(np.abs(w.increment_t(ts_s, ts_t, x)) / (ts_t - ts_s) ** reg.tau))
+        for x in np.linspace(box[0], box[1], 41)
+    )
+    space_term = max(
+        float(np.max(np.abs(w.increment_x(t, xs_s, xs_t)) / (xs_t - xs_s) ** reg.lam))
+        for t in np.linspace(a, b, 41)
+    )
+    return time_term, space_term
+
+
+def test_field_seminorm_broadcast_probes_match_loop():
+    rng = np.random.RandomState(2)
+    product = ProductField(
+        make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 6.0, 12))),
+        make_weierstrass(0.8, 10, phases=list(rng.uniform(0.0, 6.0, 10))),
+    )
+    grid = GridField(np.linspace(0.0, 1.0, 65), np.linspace(-1.0, 1.0, 33), rng.randn(65, 33))
+    reg = Regularity(0.6, 0.8, 0.7)
+    for w in (product, grid):
+        rep = holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
+        assert (rep.time_term, rep.space_term) == _looped_time_space_terms(
+            w, reg, 0.0, 1.0, (-1.0, 1.0)
+        )
+
+
 def test_field_seminorm_probe_grid_errors():
     w = ProductField(ident, ident)
     reg = Regularity(1.0, 1.0, 1.0, 0.5)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlyoung.fields import ProductField, Regularity, RegularityError, SumField
+from nlyoung.fields import GridField, ProductField, Regularity, RegularityError, SumField
+from nlyoung.iterated import DiagonalField
 from nlyoung.nonlinear import (
     Germ,
     alpha_independence,
@@ -16,7 +17,7 @@ from nlyoung.nonlinear import (
     stability_in_medium,
     stability_in_path,
 )
-from nlyoung.paths import make_function, make_weierstrass
+from nlyoung.paths import make_function, make_weierstrass, sample_function
 from nlyoung.quadrature import QuadratureConfig
 from nlyoung.young import young_integral
 
@@ -107,6 +108,93 @@ def test_sewing_converges_and_traces(rough_case):
     assert rep.converged
     assert trace.fitted_order(8, 14) >= 0.2  # epsilon - 0.1 for eps = 0.3
     assert len(trace.sums) == 17
+
+
+def _sewing_media():
+    rng = np.random.RandomState(11)
+    g = make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 2.0 * np.pi, 12)))
+    h = make_weierstrass(0.9, 10, phases=list(rng.uniform(0.0, 2.0 * np.pi, 10)))
+    xs = np.linspace(-3.0, 3.0, 17)
+    return {
+        "weierstrass-product": ProductField(g, h),
+        "sin-product": ProductField(np.sin, ident),
+        "sampled-g-product": ProductField(sample_function(g, 0.0, 1.0, 300), h),
+        "grid": GridField(np.linspace(0.0, 1.0, 33), xs, rng.randn(33, xs.size)),
+        "diagonal": DiagonalField(ProductField(g, h), sample_function(np.cos, -3.0, 3.0, 256)),
+    }
+
+
+SEWING_MEDIA = _sewing_media()
+SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
+
+
+def _naive_germ_sums(w, phi, a, b, levels):
+    """Per-level germ Riemann sums, every node of every level evaluated afresh."""
+    germ = Germ(w, phi)
+    sums = []
+    for k in range(levels + 1):
+        ts = np.linspace(a, b, 2**k + 1)
+        sums.append(float(np.sum(germ(ts[:-1], ts[1:]))))
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("name", sorted(SEWING_MEDIA))
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71)])
+def test_sewing_sums_bitwise_equal_naive_germ_sums(name, interval):
+    w = SEWING_MEDIA[name]
+    a, b = interval
+    rep, trace = integrate_sewing(w, SEWING_PHI, a, b, max_levels=12, tol=0.0)
+    assert rep.levels_used == 12
+    assert trace.sums == _naive_germ_sums(w, SEWING_PHI, a, b, 12)
+
+
+@pytest.mark.parametrize("name", ["weierstrass-product", "grid"])
+def test_sewing_early_stop_sums_bitwise_equal(name):
+    w = SEWING_MEDIA[name]
+    smooth_phi = make_function("sin")
+    rep, trace = integrate_sewing(w, smooth_phi, 0.13, 0.71, max_levels=16, tol=1e-4)
+    assert rep.params["stop_reason"] == "tol"
+    assert rep.levels_used < 16
+    assert trace.sums == _naive_germ_sums(w, smooth_phi, 0.13, 0.71, rep.levels_used)
+
+
+class _Counting:
+    """A path that counts the points it is evaluated at (and has no diff)."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.f(t)
+
+
+@pytest.mark.parametrize("max_levels, tol", [(10, 0.0), (16, 1e-4)])
+def test_separable_sewing_evaluates_each_node_once(max_levels, tol):
+    g = _Counting(make_weierstrass(0.6, 12))
+    phi = _Counting(np.sin)
+    rep, _ = integrate_sewing(ProductField(g, ident), phi, 0.0, 1.0, max_levels=max_levels, tol=tol)
+    assert g.points == phi.points == 2**rep.levels_used + 1
+
+
+def test_sewing_stop_reason():
+    w = ProductField(ident, ident)
+    rep, _ = integrate_sewing(w, ident, 0.0, 1.0, max_levels=8, tol=0.0)
+    assert rep.params["stop_reason"] == "max_levels"
+    assert rep.levels_used == 8
+    rep, _ = integrate_sewing(w, ident, 0.0, 1.0, max_levels=30, tol=1e-3)
+    assert rep.params["stop_reason"] == "tol"
+    assert rep.levels_used < 30
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+def test_non_finite_endpoints_rejected(a, b):
+    w = ProductField(np.sin, ident)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_sewing(w, ident, a, b)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_fractional(w, ident, SMOOTH, a, b, with_bounds=False)
 
 
 def test_cross_method_agreement(rough_case):

@@ -120,6 +120,20 @@ def test_weierstrass_determinism_and_values():
     assert single(0.7) == pytest.approx(math.cos(0.7), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "t", [0.37, np.linspace(-3.0, 3.0, 1001), np.linspace(0.0, 10.0, 4 * 70).reshape(4, 70)]
+)
+def test_weierstrass_in_place_sum_bitwise_equals_direct_sum(t):
+    w = make_weierstrass(0.6, 12, base=3.0, phases=[0.1 + 0.7 * k for k in range(12)])
+    arr = np.asarray(t, dtype=float)
+    direct = np.zeros_like(arr)
+    for amp, freq, phase in zip(w._amps, w._freqs, w.phases):
+        direct += amp * np.cos(freq * arr + phase)
+    got = w(t)
+    assert np.shape(got) == np.shape(t)
+    np.testing.assert_array_equal(got, direct)
+
+
 def test_weierstrass_argument_errors():
     with pytest.raises(ValueError):
         make_weierstrass(1.2, 4)

@@ -6,10 +6,11 @@ two operators against each other.
 """
 
 import math
+from math import gamma
 
 import numpy as np
 
-from nlyoung import frac_integral_left, gamma, weyl_left
+from nlyoung import frac_integral_left, weyl_left
 from nlyoung.quadrature import QuadratureConfig
 
 cfg = QuadratureConfig()

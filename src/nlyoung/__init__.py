@@ -63,7 +63,6 @@ from .paths import (
     write_path_csv,
 )
 from .quadrature import QuadratureConfig
-from .special import GammaValue, beta, gamma, gamma_value
 from .young import YoungResult, young_gamma_independence, young_integral
 
 __version__ = "0.1.0"

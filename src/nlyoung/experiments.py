@@ -171,13 +171,17 @@ def parse_quad_fragment(text: str) -> dict:
         if key == "n":
             key = "n_nodes"
         if key in ("n_nodes", "n_outer", "n_triple"):
-            out[key] = int(val)
+            convert = int
         elif key == "grading":
-            out[key] = val if val == "auto" else float(val)
+            convert = lambda v: v if v == "auto" else float(v)
         elif key in ("split_radius", "tail_floor", "tol"):
-            out[key] = float(val)
+            convert = float
         else:
             raise SpecValidationError(f"unknown quadrature option {key!r}")
+        try:
+            out[key] = convert(val)
+        except ValueError as exc:
+            raise SpecValidationError(f"bad quadrature value {item!r}") from exc
     return out
 
 

@@ -5,9 +5,17 @@ two-sided definitions formally carry always occur in matched pairs in the
 composed formulas this package evaluates, where they multiply to -1; that sign
 is applied explicitly at each composition site rather than tracked per
 operator.
+
+Each operator has one sided body that evaluates f at t + side*u for the
+distance u from t (side -1 looks left toward a, +1 right toward b); the
+public left/right functions only fix the side.  Every Marchaud difference
+integral goes through quadrature.singular_sum, and the gamma function is
+math.gamma.
 """
 
 from __future__ import annotations
+
+from math import gamma
 
 import numpy as np
 
@@ -17,9 +25,9 @@ from .quadrature import (
     QuadResult,
     refine_levels,
     singular_cells,
+    singular_sum,
     two_sided_cells,
 )
-from .special import gamma
 
 __all__ = [
     "frac_integral_left",
@@ -39,6 +47,29 @@ def _require_order(alpha: float) -> None:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
 
 
+def _side_point(lo: float, hi: float, side: float) -> float:
+    """The evaluation point t of a sided operator on [lo, hi]: hi for the
+    left side, lo for the right one; rejects an empty interval."""
+    if hi <= lo:
+        lo_name, hi_name = ("a", "t") if side < 0 else ("t", "b")
+        raise ValueError(f"need {hi_name} > {lo_name}, got {lo_name}={lo}, {hi_name}={hi}")
+    return hi if side < 0 else lo
+
+
+def _frac_integral(f, alpha: float, lo: float, hi: float, side: float, cfg: QuadratureConfig | None) -> QuadResult:
+    cfg = cfg or QuadratureConfig()
+    _require_order(alpha)
+    t = _side_point(lo, hi, side)
+    length = hi - lo
+    inv_gamma = 1.0 / gamma(alpha)
+
+    def evaluate(n: int) -> float:
+        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor, grading=cfg.grading_override())
+        return inv_gamma * float(mass @ np.asarray(f(t + side * cent), dtype=float))
+
+    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+
+
 def frac_integral_left(f, alpha: float, a: float, t: float, cfg: QuadratureConfig | None = None) -> QuadResult:
     """(1/Gamma(alpha)) int_a^t (t-s)^(alpha-1) f(s) ds.
 
@@ -48,18 +79,7 @@ def frac_integral_left(f, alpha: float, a: float, t: float, cfg: QuadratureConfi
     from three cell counts; error_estimate and the node-doubling convergence
     flag come from the same levels.
     """
-    cfg = cfg or QuadratureConfig()
-    _require_order(alpha)
-    if t <= a:
-        raise ValueError(f"need t > a, got a={a}, t={t}")
-    length = t - a
-    inv_gamma = 1.0 / gamma(alpha)
-
-    def evaluate(n: int) -> float:
-        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor, grading=cfg.grading_override())
-        return inv_gamma * float(mass @ np.asarray(f(t - cent), dtype=float))
-
-    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    return _frac_integral(f, alpha, a, t, -1.0, cfg)
 
 
 def frac_integral_right(f, alpha: float, t: float, b: float, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -68,52 +88,34 @@ def frac_integral_right(f, alpha: float, t: float, b: float, cfg: QuadratureConf
     Mirror of frac_integral_left under s -> a + b - s; the formal phase
     (-1)^(-alpha) is a sign convention, not part of the returned value.
     """
+    return _frac_integral(f, alpha, t, b, 1.0, cfg)
+
+
+def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, cfg: QuadratureConfig | None) -> QuadResult:
     cfg = cfg or QuadratureConfig()
     _require_order(alpha)
-    if b <= t:
-        raise ValueError(f"need b > t, got t={t}, b={b}")
-    length = b - t
-    inv_gamma = 1.0 / gamma(alpha)
+    if holder_mu <= alpha:
+        raise ValueError(f"need holder_mu > alpha, got mu={holder_mu}, alpha={alpha}")
+    t = _side_point(lo, hi, side)
+    length = hi - lo
+    boundary = _scalar(f(t)) / length**alpha
+    pref = 1.0 / gamma(1.0 - alpha)
+    p = -alpha - 1.0
+    # the far band is graded for integrands rough at distance `length`
+    far_g = min(8.0, max(1.0, 2.0 / holder_mu))
 
     def evaluate(n: int) -> float:
-        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor, grading=cfg.grading_override())
-        return inv_gamma * float(mass @ np.asarray(f(t + cent), dtype=float))
+        # cells built at the true scale (scale factor 1, absolute floor):
+        # rescaled reference cells add rounding that this kernel amplifies
+        mass, cent = singular_cells(
+            length, p, n, cfg.tail_floor, far_grading=far_g,
+            split=cfg.split_radius, grading=cfg.grading_override(),
+        )
+        d = np.asarray(path_diff(f, t, t + side * cent), dtype=float)
+        s_int = singular_sum(d, 1.0, mass, cent, cfg.tail_floor * length, p)
+        return pref * (boundary + alpha * float(s_int))
 
     return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
-
-
-def _difference_tail(diff0: float, u0: float, floor: float, kernel_p: float) -> float:
-    """Analytic mass of the difference integral below `floor`.
-
-    The generators this package works with (finite cosine series, piecewise
-    linear samples) are smooth below their finest scale, which is far above
-    the tail floor, so the difference is modeled as c * u with c fitted at
-    the innermost resolved centroid u0.
-    """
-    q = kernel_p + 2.0
-    if q <= 0.0:
-        raise ValueError("difference tail does not converge; check exponents")
-    c = diff0 / u0
-    return c * floor**q / q
-
-
-def _marchaud_sum(diff_at, length: float, alpha: float, mu: float, n: int, cfg: QuadratureConfig) -> float:
-    """int_0^length (f-difference at distance u) * u^(-alpha-1) du.
-
-    diff_at(u) must return f(t) - f(t -/+ u).  Graded cells handle the
-    singular end; the far band is graded for integrands rough at distance
-    `length` (grading 2/mu); below the relative floor the local linearization
-    takes over.
-    """
-    far_g = min(8.0, max(1.0, 2.0 / mu))
-    mass, cent = singular_cells(
-        length, -alpha - 1.0, n, cfg.tail_floor, far_grading=far_g,
-        split=cfg.split_radius, grading=cfg.grading_override(),
-    )
-    d = np.asarray(diff_at(cent), dtype=float)
-    total = float(mass @ d)
-    total += _difference_tail(float(d[0]), float(cent[0]), cfg.tail_floor * length, -alpha - 1.0)
-    return total
 
 
 def weyl_left(
@@ -130,25 +132,9 @@ def weyl_left(
                              + alpha * int_a^t (f(t)-f(s)) (t-s)^(-alpha-1) ds ]
 
     holder_mu is the caller's Holder order of f and must exceed alpha; it sets
-    the far-end mesh grading and the local power-law model used below the
-    tail floor.
+    the far-end mesh grading.
     """
-    cfg = cfg or QuadratureConfig()
-    _require_order(alpha)
-    if holder_mu <= alpha:
-        raise ValueError(f"need holder_mu > alpha, got mu={holder_mu}, alpha={alpha}")
-    if t <= a:
-        raise ValueError(f"need t > a, got a={a}, t={t}")
-    length = t - a
-    ft = _scalar(f(t))
-    boundary = ft / length**alpha
-    pref = 1.0 / gamma(1.0 - alpha)
-
-    def evaluate(n: int) -> float:
-        s_int = _marchaud_sum(lambda u: path_diff(f, t, t - u), length, alpha, holder_mu, n, cfg)
-        return pref * (boundary + alpha * s_int)
-
-    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    return _weyl(f, alpha, a, t, -1.0, holder_mu, cfg)
 
 
 def weyl_right(
@@ -160,22 +146,7 @@ def weyl_right(
     cfg: QuadratureConfig | None = None,
 ) -> QuadResult:
     """Right-sided mirror of weyl_left (real magnitude, sign by convention)."""
-    cfg = cfg or QuadratureConfig()
-    _require_order(alpha)
-    if holder_mu <= alpha:
-        raise ValueError(f"need holder_mu > alpha, got mu={holder_mu}, alpha={alpha}")
-    if b <= t:
-        raise ValueError(f"need b > t, got t={t}, b={b}")
-    length = b - t
-    ft = _scalar(f(t))
-    boundary = ft / length**alpha
-    pref = 1.0 / gamma(1.0 - alpha)
-
-    def evaluate(n: int) -> float:
-        s_int = _marchaud_sum(lambda u: path_diff(f, t, t + u), length, alpha, holder_mu, n, cfg)
-        return pref * (boundary + alpha * s_int)
-
-    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    return _weyl(f, alpha, t, b, 1.0, holder_mu, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +198,7 @@ def dl_dr_integral(
             split=cfg.split_radius, grading=cfg.grading_override(),
         )
         d = np.asarray(path_diff(f, t_out[:, None], t_out[:, None] - len_l[:, None] * c_ref[None, :]), dtype=float)
-        s_l = len_l ** (-gam) * (d @ m_ref)
-        u0 = len_l * c_ref[0]
-        s_l += _vector_tail(d[:, 0], u0, cfg.tail_floor * len_l, -gam - 1.0)
+        s_l = singular_sum(d, len_l, m_ref, c_ref, cfg.tail_floor, -gam - 1.0)
         dl_hat = f_t + gam * len_l**gam * s_l  # (t-a)^gam * Gamma(1-gam) * DL f
 
         # right Marchaud sum of g: kernel u^(-(1-gam)-1) = u^(gam-2)
@@ -238,22 +207,12 @@ def dl_dr_integral(
             split=cfg.split_radius, grading=cfg.grading_override(),
         )
         d2 = np.asarray(path_diff(g, t_out[:, None], t_out[:, None] + len_r[:, None] * c_ref2[None, :]), dtype=float)
-        s_r = len_r ** (gam - 1.0) * (d2 @ m_ref2)
-        u02 = len_r * c_ref2[0]
-        s_r += _vector_tail(d2[:, 0], u02, cfg.tail_floor * len_r, gam - 2.0)
+        s_r = singular_sum(d2, len_r, m_ref2, c_ref2, cfg.tail_floor, gam - 2.0)
         dr_hat = (g_t - gb) + (1.0 - gam) * len_r ** (1.0 - gam) * s_r
 
         return pref * float(w_out @ (dl_hat * dr_hat))
 
     return refine_levels(evaluate, cfg.n_outer, cfg.tol)
-
-
-def _vector_tail(diff0, u0, floor, kernel_p: float):
-    """Vectorized local-linear tail model (see _difference_tail)."""
-    q = kernel_p + 2.0
-    if q <= 0.0:
-        raise ValueError("difference tail does not converge; check exponents")
-    return (diff0 / u0) * floor**q / q
 
 
 def riemann_stieltjes_midpoint(f, g, a: float, b: float, n: int) -> float:

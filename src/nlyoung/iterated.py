@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, FieldHolderReport, Regularity, RegularityError, holder_seminorm_field
+from .fields import Field, Regularity, RegularityError
 from .nonlinear import IntegralReport, integrate_fractional, integrate_sewing
 from .paths import SampledPath, path_diff
 from .quadrature import QuadratureConfig
@@ -57,10 +57,6 @@ class JointField:
     field: Field
     tau: float
     lam: float
-
-    def seminorm(self, a: float, b: float) -> FieldHolderReport:
-        reg = Regularity(self.tau, self.lam, 1.0, 0.5)
-        return holder_seminorm_field(self.field, reg, a, b, (a, b))
 
 
 class DiagonalField(Field):

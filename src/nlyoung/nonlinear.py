@@ -45,6 +45,7 @@ from .quadrature import (
     combine_results,
     refine_levels,
     singular_cells,
+    singular_sum,
     two_sided_cells,
 )
 from .regression import lag_scaling_slope
@@ -79,10 +80,6 @@ class Germ:
 
     def __call__(self, s, t):
         return self.w.increment_t(s, t, self.phi(s))
-
-    def defect(self, a, c, b):
-        """mu(a,b) - mu(a,c) - mu(c,b), a rectangular increment of W."""
-        return self.w.increment_rect(b, c, self.phi(a), self.phi(c))
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,7 @@ def _space_diff_integral(phi, phis, ts, length, alpha, m_ref, c_ref, floor, h):
     r = ts[:, None] - length[:, None] * c_ref[None, :]
     phir = np.asarray(phi(r), dtype=float)
     diff = np.asarray(h(phis), dtype=float)[:, None] - np.asarray(h(phir), dtype=float)
-    inner = length ** (-alpha) * (diff @ m_ref)
-    u0 = length * c_ref[0]
-    inner += (diff[:, 0] / u0) * (floor * length) ** (1.0 - alpha) / (1.0 - alpha)
-    return inner
+    return singular_sum(diff, length, m_ref, c_ref, floor, -alpha - 1.0)
 
 
 def _term_i2(w, phi, alpha, a, b, n, cfg):
@@ -194,9 +188,7 @@ def _term_i2(w, phi, alpha, a, b, n, cfg):
             w.increment_rect(ts[:, None], b, phis[:, None], np.asarray(phi(r), dtype=float)),
             dtype=float,
         )
-        inner = length ** (-alpha) * (rect @ m_ref)
-        u0 = length * c_ref[0]
-        inner += (rect[:, 0] / u0) * (floor * length) ** (1.0 - alpha) / (1.0 - alpha)
+        inner = singular_sum(rect, length, m_ref, c_ref, floor, -alpha - 1.0)
     return float(wts @ inner)
 
 
@@ -211,44 +203,22 @@ def _term_i3(w, phi, alpha, a, b, n, cfg):
     s = ts[:, None] + length[:, None] * c_ref[None, :]
     if factors is not None:
         g, h = factors
-        gdiff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
-        inner = length ** (alpha - 1.0) * (gdiff @ m_ref)
-        u0 = length * c_ref[0]
-        inner += (gdiff[:, 0] / u0) * (cfg.tail_floor * length) ** alpha / alpha
-        inner *= np.asarray(h(phis), dtype=float)
+        diff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
+        space = np.asarray(h(phis), dtype=float)
     else:
         diff = np.asarray(w.increment_t(s, ts[:, None], phis[:, None]), dtype=float)
-        inner = length ** (alpha - 1.0) * (diff @ m_ref)
-        u0 = length * c_ref[0]
-        inner += (diff[:, 0] / u0) * (cfg.tail_floor * length) ** alpha / alpha
-    return float(wts @ inner)
+        space = 1.0
+    inner = singular_sum(diff, length, m_ref, c_ref, cfg.tail_floor, alpha - 2.0)
+    return float(wts @ (inner * space))
 
 
 def _term_i4(w, phi, alpha, a, b, n, cfg):
     factors = w.time_space_factors()
     floor = cfg.tail_floor
     if factors is not None:
-        # separable: the inner double integral is a product of 1d integrals
-        g, h = factors
-        n1 = max(n, cfg.n_outer * n // max(cfg.n_triple, 1))
-        wts, ts, len_r, len_s = two_sided_cells(a, b, 0.0, 0.0, n1, floor, cfg.grading_override())
-        m_r, c_r = singular_cells(
-            1.0, -alpha - 1.0, n1, floor, 1.0, cfg.split_radius,
-            grading=cfg.grading_override(),
-        )
-        m_s, c_s = singular_cells(
-            1.0, alpha - 2.0, n1, floor, 1.0, cfg.split_radius,
-            grading=cfg.grading_override(),
-        )
-        phis = np.asarray(phi(ts), dtype=float)
-        hdiff = _space_diff_integral(phi, phis, ts, len_r, alpha, m_r, c_r, floor, h)
-        s = ts[:, None] + len_s[:, None] * c_s[None, :]
-        gdiff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
-        ginner = len_s ** (alpha - 1.0) * (gdiff @ m_s)
-        us0 = len_s * c_s[0]
-        ginner += (gdiff[:, 0] / us0) * (floor * len_s) ** alpha / alpha
-        return float(wts @ (ginner * hdiff))
-
+        # separable: the inner double integral is a product of 1d integrals,
+        # cheap enough to run at the double-integral resolution
+        n = max(n, cfg.n_outer * n // max(cfg.n_triple, 1))
     wts, ts, dist_a, dist_b = two_sided_cells(a, b, 0.0, 0.0, n, floor, cfg.grading_override())
     m_r, c_r = singular_cells(
         1.0, -alpha - 1.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
@@ -257,6 +227,14 @@ def _term_i4(w, phi, alpha, a, b, n, cfg):
         1.0, alpha - 2.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
     )
     phis = np.asarray(phi(ts), dtype=float)
+    if factors is not None:
+        g, h = factors
+        hdiff = _space_diff_integral(phi, phis, ts, dist_a, alpha, m_r, c_r, floor, h)
+        s = ts[:, None] + dist_b[:, None] * c_s[None, :]
+        gdiff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
+        ginner = singular_sum(gdiff, dist_b, m_s, c_s, floor, alpha - 2.0)
+        return float(wts @ (ginner * hdiff))
+
     total = 0.0
     chunk = max(1, 2_000_000 // (m_r.size * m_s.size))
     for lo in range(0, ts.size, chunk):
@@ -274,14 +252,8 @@ def _term_i4(w, phi, alpha, a, b, n, cfg):
             ),
             dtype=float,
         )
-        inner_s = len_s[:, None] ** (alpha - 1.0) * (rect @ m_s)
-        us0 = len_s * c_s[0]
-        inner_s += (rect[:, :, 0] / us0[:, None]) * (
-            (floor * len_s)[:, None] ** alpha / alpha
-        )
-        inner_r = len_r ** (-alpha) * (inner_s @ m_r)
-        ur0 = len_r * c_r[0]
-        inner_r += (inner_s[:, 0] / ur0) * ((floor * len_r) ** (1.0 - alpha) / (1.0 - alpha))
+        inner_s = singular_sum(rect, len_s[:, None], m_s, c_s, floor, alpha - 2.0)
+        inner_r = singular_sum(inner_s, len_r, m_r, c_r, floor, -alpha - 1.0)
         total += float(wts[sl] @ inner_r)
     return total
 
@@ -294,7 +266,6 @@ def integrate_fractional(
     b: float,
     cfg: QuadratureConfig | None = None,
     *,
-    norms: NormEstimates | None = None,
     with_bounds: bool = True,
 ) -> IntegralReport:
     """int_a^b W(dt, phi_t) by the four-term fractional expansion.
@@ -323,7 +294,7 @@ def integrate_fractional(
 
     bound_ratios: dict = {}
     if with_bounds:
-        norms = norms or estimate_norms(w, phi, reg, a, b)
+        norms = estimate_norms(w, phi, reg, a, b)
         wn = norms.field.norm
         pn = norms.path.seminorm
         denom = wn * (b - a) ** reg.tau + wn * pn**reg.lam * (b - a) ** (
@@ -560,15 +531,13 @@ def centered_bound_check(
     b: float,
     c: float,
     cfg: QuadratureConfig | None = None,
-    *,
-    norms: NormEstimates | None = None,
 ) -> BoundCheck:
     """|int_a^b W(dt,phi) - W(b,phi_c) + W(a,phi_c)| over ||W|| ||phi||^lam (b-a)^(tau+lam gamma)."""
     if not a <= c <= b:
         raise ValueError("need a <= c <= b")
     report = integrate_fractional(w, phi, reg, a, b, cfg, with_bounds=False)
     numerator = abs(report.value - float(w.increment_t(a, b, phi(c))))
-    norms = norms or estimate_norms(w, phi, reg, a, b)
+    norms = estimate_norms(w, phi, reg, a, b)
     denominator = (
         norms.field.norm
         * norms.path.seminorm**reg.lam

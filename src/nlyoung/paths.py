@@ -30,14 +30,13 @@ PathLike = Callable[[np.ndarray], np.ndarray]
 class SampledPath:
     """A one-variable function given by sorted samples.
 
-    Evaluation interpolates linearly (or by nearest sample) between stamps and
-    raises outside [ts[0], ts[-1]].  Instances are immutable and safe to share
-    across threads.
+    Evaluation interpolates linearly between stamps and raises outside
+    [ts[0], ts[-1]].  Instances are immutable and safe to share across
+    threads.
     """
 
     ts: np.ndarray
     values: np.ndarray
-    interpolation: str = "linear"
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.ts, dtype=float)
@@ -52,8 +51,6 @@ class SampledPath:
             raise ValueError("sample times must be strictly increasing")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vals))):
             raise ValueError("samples must be finite")
-        if self.interpolation not in ("linear", "nearest"):
-            raise ValueError("interpolation must be 'linear' or 'nearest'")
         ts.flags.writeable = False
         vals.flags.writeable = False
 
@@ -74,14 +71,7 @@ class SampledPath:
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)
-        if self.interpolation == "nearest":
-            idx = np.searchsorted(self.ts, arr)
-            idx = np.clip(idx, 1, self.ts.size - 1)
-            left = arr - self.ts[idx - 1] <= self.ts[idx] - arr
-            idx = np.where(left, idx - 1, idx)
-            out = self.values[idx]
-        else:
-            out = np.interp(arr, self.ts, self.values)
+        out = np.interp(arr, self.ts, self.values)
         return out if np.ndim(t) else float(out)
 
     def diff(self, t, s):
@@ -95,8 +85,6 @@ class SampledPath:
         sa = np.asarray(s, dtype=float)
         self._check_domain(ta)
         self._check_domain(sa)
-        if self.interpolation == "nearest":
-            return self(t) - self(s)
         i = np.clip(np.searchsorted(self.ts, ta, side="right") - 1, 0, self.ts.size - 2)
         j = np.clip(np.searchsorted(self.ts, sa, side="right") - 1, 0, self.ts.size - 2)
         dt_nodes = np.diff(self.ts)
@@ -120,7 +108,7 @@ class SampledPath:
         ts = np.concatenate([[a], self.ts[mask], [b]])
         vals = np.concatenate([[self(a)], self.values[mask], [self(b)]])
         keep = np.concatenate([[True], np.diff(ts) > 0])
-        return SampledPath(ts[keep], vals[keep], self.interpolation)
+        return SampledPath(ts[keep], vals[keep])
 
 
 @dataclass(frozen=True)

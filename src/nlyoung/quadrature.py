@@ -14,12 +14,14 @@ both in closed form, so the rule is exact whenever G is affine on a cell.  The
 mesh is algebraically graded toward u = 0, with edges L (k/n)^g and the
 exponent g chosen so the composite rule is second order for the kernel's
 power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
-a relative floor, the floor cell is excluded and its contribution is modeled
-analytically with the declared Holder exponent of the difference.
+a relative floor and the floor cell is excluded.  Every such difference
+integral is finished by `singular_sum`, the one place where the part below
+the floor is modeled (linearly in u, in closed form).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -30,6 +32,7 @@ __all__ = [
     "QuadResult",
     "power_cells",
     "singular_cells",
+    "singular_sum",
     "two_sided_cells",
     "refine_levels",
 ]
@@ -58,19 +61,20 @@ class QuadratureConfig:
     tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 8:
-            raise ValueError("n_nodes must be at least 8")
+        for name in ("n_nodes", "n_outer", "n_triple"):
+            if getattr(self, name) < 8:
+                raise ValueError(f"{name} must be at least 8")
         if isinstance(self.grading, str):
             if self.grading != "auto":
                 raise ValueError("grading must be a number >= 1 or 'auto'")
-        elif self.grading < 1.0:
-            raise ValueError("grading must be >= 1")
+        elif not 1.0 <= self.grading < math.inf:
+            raise ValueError("grading must be finite and >= 1")
         if not 0.0 < self.split_radius < 1.0:
             raise ValueError("split_radius must lie in (0, 1)")
         if not 0.0 < self.tail_floor < 1.0:
             raise ValueError("tail_floor must lie in (0, 1)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
     def grading_override(self) -> float | None:
         """The fixed mesh exponent, or None when grading is "auto"."""
@@ -184,6 +188,26 @@ def singular_cells(
             edges = np.array([floor, length])
     mass, centroid = power_cells(edges, p)
     return mass, centroid
+
+
+def singular_sum(diff, length, mass, centroid, floor_rel: float, p: float):
+    """int_0^L D(u) u^p du for a difference D that vanishes at u = 0.
+
+    (mass, centroid) are cells from singular_cells(ell, p, ...) and length is
+    the factor they are scaled by, so L = length * ell and diff holds D at
+    length * centroid along its last axis (a mesh built at the true scale
+    passes length=1.0).  floor_rel * length is where the cells start.  length
+    broadcasts against diff[..., 0], so one call serves a vector of outer
+    nodes on one reference mesh.  Below the floor D is modeled as c * u with
+    c fitted at the innermost resolved node: the generators this package
+    works with (finite cosine series, piecewise-linear samples) are smooth
+    below their finest scale, which lies far above the floor.
+    """
+    q = p + 2.0
+    if q <= 0.0:
+        raise ValueError("difference tail does not converge; check exponents")
+    tail = diff[..., 0] / (length * centroid[0]) * (floor_rel * length) ** q / q
+    return length ** (p + 1.0) * (diff @ mass) + tail
 
 
 def two_sided_cells(

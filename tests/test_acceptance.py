@@ -6,6 +6,7 @@ PASS/FAIL lines.  Criteria with a stated runtime budget assert it.
 
 import math
 import time
+from math import gamma
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from nlyoung.experiments import (
 )
 from nlyoung.fraccalc import smooth_parts_identity_check, weyl_left
 from nlyoung.quadrature import QuadratureConfig
-from nlyoung.special import gamma
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:

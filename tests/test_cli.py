@@ -251,6 +251,26 @@ def test_quad_fragment_parsing():
     assert out == {"n_nodes": 2048, "grading": "auto", "tol": 1e-6, "n_outer": 256}
     with pytest.raises(SpecValidationError):
         parse_quad_fragment("bogus=3")
+    with pytest.raises(SpecValidationError):
+        parse_quad_fragment("n=abc")
+
+
+@pytest.mark.parametrize("quad", ["tol=nan", "grading=nan", "n_outer=-5", "n=abc", "grading=x"])
+def test_bad_quad_option_exit_2(capsys, quad):
+    code = main(
+        [
+            "integrate", "--method", "frac",
+            "--field", "product:g=(sin),h=(identity)",
+            "--path", "identity",
+            "--a", "0", "--b", "1",
+            "--tau", "1", "--lambda", "1", "--gamma", "1",
+            "--quad", quad,
+            "--no-timestamp",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
 
 
 def test_spec_round_trip_and_unknown_keys():

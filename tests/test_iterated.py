@@ -200,10 +200,3 @@ def test_growth_check_zero_density():
 def test_growth_check_requires_pinned_density():
     with pytest.raises(ValueError):
         growth_check([joint_of(ident)], one, 0.0, [0.5, 0.25], 1.5)
-
-
-def test_joint_field_seminorm_accessor():
-    joint = JointField(ProductField(make_weierstrass(0.7, 8), make_weierstrass(0.8, 8)), 0.7, 0.8)
-    rep = joint.seminorm(0.0, 1.0)
-    assert rep.rect_term > 0
-    assert rep.norm >= rep.bracket

@@ -268,7 +268,8 @@ def test_germ_sewing_defect_bound(rough_case):
         defect = abs(
             float(germ(a, b)) - float(germ(a, c)) - float(germ(c, b))
         )
-        assert defect == pytest.approx(abs(float(germ.defect(a, c, b))), abs=1e-12)
+        rect = w.increment_rect(b, c, phi(a), phi(c))
+        assert defect == pytest.approx(abs(float(rect)), abs=1e-12)
         assert defect <= 2.0 * k_est * (b - a) ** (1.0 + eps)
 
 

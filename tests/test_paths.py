@@ -21,8 +21,6 @@ def test_sampled_path_invariants():
         SampledPath([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         SampledPath([0.0, 1.0], [1.0, np.nan])
-    with pytest.raises(ValueError):
-        SampledPath([0.0, 1.0], [1.0, 2.0], interpolation="cubic")
 
 
 def test_evaluation_and_domain_error():
@@ -33,12 +31,6 @@ def test_evaluation_and_domain_error():
         p(2.5)
     with pytest.raises(ValueError):
         p(np.array([-0.1, 0.5]))
-
-
-def test_nearest_interpolation():
-    p = SampledPath([0.0, 1.0], [0.0, 10.0], interpolation="nearest")
-    assert p(0.4) == 0.0
-    assert p(0.6) == 10.0
 
 
 def test_diff_matches_subtraction_and_is_exact_in_cell():

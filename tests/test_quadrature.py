@@ -1,24 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlyoung.quadrature import (
     QuadratureConfig,
     power_cells,
     refine_levels,
     singular_cells,
+    singular_sum,
     two_sided_cells,
 )
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(n_nodes=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(split_radius=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(grading=0.5)
+    bad = [
+        {"n_nodes": 4}, {"n_outer": -5}, {"n_triple": 0}, {"split_radius": 0.0},
+        {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"grading": 0.5}, {"grading": math.nan}, {"grading": math.inf},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            QuadratureConfig(**kwargs)
     cfg = QuadratureConfig()
     assert cfg.scaled(0.5).n_nodes == cfg.n_nodes // 2
 
@@ -57,12 +61,40 @@ def test_difference_kernel_cells_cover_above_floor():
     assert np.sum(mass) == pytest.approx(exact, rel=1e-10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    alpha=st.floats(0.05, 0.95),
+    marchaud=st.booleans(),
+    shape=st.sampled_from([(), (5,), (4, 3)]),
+    split=st.sampled_from([1.0, 1.0 / 16.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_singular_sum_linear_difference_exact(alpha, marchaud, shape, split, seed):
+    # D(u) = c u on [0, L]: int_0^L c u^(p+1) du = c L^(p+2) / (p+2), the part
+    # below the floor included, for scalar, vector and broadcast 3-D diffs
+    p = -alpha - 1.0 if marchaud else alpha - 2.0
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-2.0, 2.0, shape)
+    length = rng.uniform(1e-3, 10.0, shape[:1] + (1,) * max(len(shape) - 1, 0))
+    mass, cent = singular_cells(1.0, p, 64, 1e-12, far_grading=2.0, split=split)
+    diff = (c * length)[..., None] * cent
+    got = singular_sum(diff, length, mass, cent, 1e-12, p)
+    want = c * length ** (p + 2.0) / (p + 2.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_singular_sum_rejects_divergent_tail():
+    mass, cent = singular_cells(1.0, -1.5, 16, 1e-12)
+    for p in (-2.0, -2.5):
+        with pytest.raises(ValueError):
+            singular_sum(cent, 1.0, mass, cent, 1e-12, p)
+
+
 def test_two_sided_cells_beta_integral():
     # int_0^1 t^(-1/2) (1-t)^(-1/3) dt = B(1/2, 2/3)
-    from nlyoung.special import beta
-
     w, t, da, db = two_sided_cells(0.0, 1.0, -0.5, -1.0 / 3.0, 512, 1e-12)
-    assert float(np.sum(w)) == pytest.approx(beta(0.5, 2.0 / 3.0), rel=1e-5)
+    beta = math.gamma(0.5) * math.gamma(2.0 / 3.0) / math.gamma(0.5 + 2.0 / 3.0)
+    assert float(np.sum(w)) == pytest.approx(beta, rel=1e-5)
     np.testing.assert_allclose(da + db, 1.0, atol=1e-12)
 
 

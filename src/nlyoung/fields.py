@@ -12,8 +12,8 @@ products, nodal second differences) instead of subtracting four large values.
 
 Separable media W(t, x) = g(t) h(x) also expose their factors through
 time_space_factors(); the consumers that exploit separability (the
-fractional terms I2-I4 and the sewing sums) read g and h from there instead
-of going through the increment calls.
+fractional route, as int h(phi) dg, and the sewing sums) read g and h from
+there instead of going through the increment calls.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class Field:
     def time_space_factors(self):
         """For separable media W(t,x) = g(t) h(x): the pair (g, h), else None.
 
-        Separability lets the double and triple singular integrals factor into
-        products of one-dimensional sums, which the evaluators exploit.
+        Separability turns the nonlinear integral into the Young integral
+        int h(phi) dg, which the evaluators exploit.
         """
         return None
 

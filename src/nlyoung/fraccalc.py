@@ -8,9 +8,9 @@ operator.
 
 Each operator has one sided body that evaluates f at t + side*u for the
 distance u from t (side -1 looks left toward a, +1 right toward b); the
-public left/right functions only fix the side.  Every Marchaud difference
-integral goes through quadrature.singular_sum, and the gamma function is
-math.gamma.
+public left/right functions only fix the side.  These run on graded meshes
+through quadrature.singular_sum; dl_dr_integral, which needs Marchaud sums at
+every point, on a uniform grid.  The gamma function is math.gamma.
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ from .paths import path_diff
 from .quadrature import (
     QuadratureConfig,
     QuadResult,
+    hat_weights,
+    marchaud_conv,
     refine_levels,
     singular_cells,
     singular_sum,
-    two_sided_cells,
+    two_sided_cells,  # unused here, but perfbench/spans.py wraps it in this module
+    two_sided_grid_sum,
 )
 
 __all__ = [
@@ -98,11 +101,13 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
         raise ValueError(f"need holder_mu > alpha, got mu={holder_mu}, alpha={alpha}")
     t = _side_point(lo, hi, side)
     length = hi - lo
-    boundary = _scalar(f(t)) / length**alpha
+    ft = _scalar(f(t))
+    boundary = ft / length**alpha
     pref = 1.0 / gamma(1.0 - alpha)
     p = -alpha - 1.0
     # the far band is graded for integrands rough at distance `length`
     far_g = min(8.0, max(1.0, 2.0 / holder_mu))
+    f_max = [abs(ft)]  # over the nodes of the latest level
 
     def evaluate(n: int) -> float:
         # cells built at the true scale (scale factor 1, absolute floor):
@@ -112,10 +117,14 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
             split=cfg.split_radius, grading=cfg.grading_override(),
         )
         d = np.asarray(path_diff(f, t, t + side * cent), dtype=float)
+        f_max[0] = max(abs(ft), float(np.max(np.abs(ft - d))))
         s_int = singular_sum(d, 1.0, mass, cent, cfg.tail_floor * length, p)
         return pref * (boundary + alpha * float(s_int))
 
-    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    res = refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    # the kernel amplifies rounding in f down to the floor, which Richardson cannot see
+    round_off = np.finfo(float).eps * f_max[0] * (cfg.tail_floor * length) ** -alpha
+    return QuadResult(res.value, res.error_estimate + round_off, res.converged, res.levels)
 
 
 def weyl_left(
@@ -166,11 +175,12 @@ def dl_dr_integral(
 ) -> QuadResult:
     """Evaluate  -int_a^b D^gam_{a+} f(t) * D^{1-gam}_{b-} g_{b-}(t) dt.
 
-    The outer integrand carries the explicit weights (t-a)^(-gam) and
-    (b-t)^(gam-1), which the outer mesh integrates exactly per cell; the two
-    Marchaud sums at each outer node share reference meshes scaled to the
-    node.  Requires mu_f > gam and beta_g > 1 - gam for the inner integrals
-    to converge.
+    f and g are sampled once on N + 1 uniform nodes (N = cfg.grid_cells());
+    both Marchaud sums at every node are FFT convolutions, and the outer
+    weights (t-a)^(-gam), (b-t)^(gam-1) are integrated exactly on each half
+    of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
+    at the scheme's error order min(2-gam, 1+gam).  Requires mu_f > gam and
+    beta_g > 1 - gam for the inner integrals to converge.
     """
     cfg = cfg or QuadratureConfig()
     if not 0.0 < gam < 1.0:
@@ -181,38 +191,22 @@ def dl_dr_integral(
         raise ValueError(f"need beta_g > 1 - gamma, got beta_g={beta_g}, gamma={gam}")
     if b <= a:
         raise ValueError("need a < b")
-    gb = _scalar(g(b))
+    big_n = cfg.grid_cells()
+    ts = np.linspace(a, b, big_n + 1)
+    fv, gv = np.asarray(f(ts), dtype=float), np.asarray(g(ts), dtype=float)
+    # a cell's weights do not depend on N: the finest level's serve all three
+    w_left, w_right = hat_weights(-gam - 1.0, big_n + 1), hat_weights(gam - 2.0, big_n + 1)
+    w_a, w_b = hat_weights(-gam, big_n // 2), hat_weights(gam - 1.0, big_n // 2)
     pref = -1.0 / (gamma(1.0 - gam) * gamma(gam))
 
-    far_f = min(8.0, max(1.0, 2.0 / mu_f))
-    far_g = min(8.0, max(1.0, 2.0 / beta_g))
-
     def evaluate(n: int) -> float:
-        w_out, t_out, len_l, len_r = two_sided_cells(a, b, -gam, gam - 1.0, n, cfg.tail_floor, cfg.grading_override())
-        f_t = np.asarray(f(t_out), dtype=float)
-        g_t = np.asarray(g(t_out), dtype=float)
+        fn, gn = fv[:: big_n // n], gv[:: big_n // n]
+        j = np.arange(n + 1.0)
+        dl_hat = fn + gam * j**gam * marchaud_conv(fn, *w_left)  # (t-a)^gam Gamma(1-gam) DL f
+        dr_hat = (gn - gn[-1]) + (1.0 - gam) * j[::-1] ** (1.0 - gam) * marchaud_conv(gn[::-1], *w_right)[::-1]
+        return pref * two_sided_grid_sum(dl_hat * dr_hat, -gam, gam - 1.0, w_a, w_b)
 
-        # left Marchaud sum of f at every outer node, on a shared scaled mesh
-        m_ref, c_ref = singular_cells(
-            1.0, -gam - 1.0, n, cfg.tail_floor, far_grading=far_f,
-            split=cfg.split_radius, grading=cfg.grading_override(),
-        )
-        d = np.asarray(path_diff(f, t_out[:, None], t_out[:, None] - len_l[:, None] * c_ref[None, :]), dtype=float)
-        s_l = singular_sum(d, len_l, m_ref, c_ref, cfg.tail_floor, -gam - 1.0)
-        dl_hat = f_t + gam * len_l**gam * s_l  # (t-a)^gam * Gamma(1-gam) * DL f
-
-        # right Marchaud sum of g: kernel u^(-(1-gam)-1) = u^(gam-2)
-        m_ref2, c_ref2 = singular_cells(
-            1.0, gam - 2.0, n, cfg.tail_floor, far_grading=far_g,
-            split=cfg.split_radius, grading=cfg.grading_override(),
-        )
-        d2 = np.asarray(path_diff(g, t_out[:, None], t_out[:, None] + len_r[:, None] * c_ref2[None, :]), dtype=float)
-        s_r = singular_sum(d2, len_r, m_ref2, c_ref2, cfg.tail_floor, gam - 2.0)
-        dr_hat = (g_t - gb) + (1.0 - gam) * len_r ** (1.0 - gam) * s_r
-
-        return pref * float(w_out @ (dl_hat * dr_hat))
-
-    return refine_levels(evaluate, cfg.n_outer, cfg.tol)
+    return refine_levels(evaluate, big_n, cfg.tol, order=min(2.0 - gam, 1.0 + gam))
 
 
 def riemann_stieltjes_midpoint(f, g, a: float, b: float, n: int) -> float:

@@ -9,8 +9,10 @@ The fractional route evaluates the four-term expansion
     I3 = int int_t^b  [W(t,phi_t) - W(s,phi_t)] (s-t)^(al-2) (t-a)^(-al) ds dt
     I4 = int int_a^t int_t^b  [rectangular increment] (s-t)^(al-2) (t-r)^(-al-1) ds dr dt
 
-with W_{b-}(t,x) = W(t,x) - W(b,x).  Every bracket is evaluated through the
-field's increment calls so the Holder smallness survives in floats.  The
+with W_{b-}(t,x) = W(t,x) - W(b,x).  For W = g(t) h(x) they sum to the
+fractional Young form of int h(phi) dg (Zahle 1998), fraccalc.dl_dr_integral.
+Otherwise every bracket is evaluated through the field's increment calls so
+the Holder smallness survives in floats.  The
 sewing route sums the germ mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic
 partitions and Richardson-extrapolates the limit.  Both require the declared
 exponents to satisfy tau + lam*gamma > 1, with the fractional order alpha in
@@ -33,11 +35,11 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
+from .fraccalc import dl_dr_integral
 from .paths import (
     HolderReport,
     SampledPath,
     holder_seminorm_path,
-    path_diff,
     sample_function,
 )
 from .quadrature import (
@@ -160,36 +162,19 @@ def _term_i1(w, phi, alpha, a, b, n, cfg):
     return float(wts @ np.asarray(vals, dtype=float))
 
 
-def _space_diff_integral(phi, phis, ts, length, alpha, m_ref, c_ref, floor, h):
-    """For separable media: int_0^(t-a) [h(phi_t)-h(phi_r)] (t-r)^(-alpha-1) dr
-    at every outer node; returns the vector of inner values."""
-    r = ts[:, None] - length[:, None] * c_ref[None, :]
-    phir = np.asarray(phi(r), dtype=float)
-    diff = np.asarray(h(phis), dtype=float)[:, None] - np.asarray(h(phir), dtype=float)
-    return singular_sum(diff, length, m_ref, c_ref, floor, -alpha - 1.0)
-
-
 def _term_i2(w, phi, alpha, a, b, n, cfg):
     wts, ts, length, _ = two_sided_cells(a, b, 0.0, alpha - 1.0, n, cfg.tail_floor, cfg.grading_override())
-    factors = w.time_space_factors()
     phis = np.asarray(phi(ts), dtype=float)
-    floor = cfg.tail_floor
     m_ref, c_ref = singular_cells(
         1.0, -alpha - 1.0, n, cfg.tail_floor, 1.0, cfg.split_radius,
         grading=cfg.grading_override(),
     )
-    if factors is not None:
-        g, h = factors
-        hdiff = _space_diff_integral(phi, phis, ts, length, alpha, m_ref, c_ref, floor, h)
-        inner = np.asarray(path_diff(g, ts, b), dtype=float) * hdiff
-    else:
-        r = ts[:, None] - length[:, None] * c_ref[None, :]
-        rect = np.asarray(
-            w.increment_rect(ts[:, None], b, phis[:, None], np.asarray(phi(r), dtype=float)),
-            dtype=float,
-        )
-        inner = singular_sum(rect, length, m_ref, c_ref, floor, -alpha - 1.0)
-    return float(wts @ inner)
+    r = ts[:, None] - length[:, None] * c_ref[None, :]
+    rect = np.asarray(
+        w.increment_rect(ts[:, None], b, phis[:, None], np.asarray(phi(r), dtype=float)),
+        dtype=float,
+    )
+    return float(wts @ singular_sum(rect, length, m_ref, c_ref, cfg.tail_floor, -alpha - 1.0))
 
 
 def _term_i3(w, phi, alpha, a, b, n, cfg):
@@ -199,26 +184,13 @@ def _term_i3(w, phi, alpha, a, b, n, cfg):
         grading=cfg.grading_override(),
     )
     phis = np.asarray(phi(ts), dtype=float)
-    factors = w.time_space_factors()
     s = ts[:, None] + length[:, None] * c_ref[None, :]
-    if factors is not None:
-        g, h = factors
-        diff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
-        space = np.asarray(h(phis), dtype=float)
-    else:
-        diff = np.asarray(w.increment_t(s, ts[:, None], phis[:, None]), dtype=float)
-        space = 1.0
-    inner = singular_sum(diff, length, m_ref, c_ref, cfg.tail_floor, alpha - 2.0)
-    return float(wts @ (inner * space))
+    diff = np.asarray(w.increment_t(s, ts[:, None], phis[:, None]), dtype=float)
+    return float(wts @ singular_sum(diff, length, m_ref, c_ref, cfg.tail_floor, alpha - 2.0))
 
 
 def _term_i4(w, phi, alpha, a, b, n, cfg):
-    factors = w.time_space_factors()
     floor = cfg.tail_floor
-    if factors is not None:
-        # separable: the inner double integral is a product of 1d integrals,
-        # cheap enough to run at the double-integral resolution
-        n = max(n, cfg.n_outer * n // max(cfg.n_triple, 1))
     wts, ts, dist_a, dist_b = two_sided_cells(a, b, 0.0, 0.0, n, floor, cfg.grading_override())
     m_r, c_r = singular_cells(
         1.0, -alpha - 1.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
@@ -227,14 +199,6 @@ def _term_i4(w, phi, alpha, a, b, n, cfg):
         1.0, alpha - 2.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
     )
     phis = np.asarray(phi(ts), dtype=float)
-    if factors is not None:
-        g, h = factors
-        hdiff = _space_diff_integral(phi, phis, ts, dist_a, alpha, m_r, c_r, floor, h)
-        s = ts[:, None] + dist_b[:, None] * c_s[None, :]
-        gdiff = np.asarray(path_diff(g, ts[:, None], s), dtype=float)
-        ginner = singular_sum(gdiff, dist_b, m_s, c_s, floor, alpha - 2.0)
-        return float(wts @ (ginner * hdiff))
-
     total = 0.0
     chunk = max(1, 2_000_000 // (m_r.size * m_s.size))
     for lo in range(0, ts.size, chunk):
@@ -270,8 +234,9 @@ def integrate_fractional(
 ) -> IntegralReport:
     """int_a^b W(dt, phi_t) by the four-term fractional expansion.
 
-    Each term is Richardson-refined over three resolutions; the report's
-    error_estimate sums the per-term extrapolation corrections and its
+    Separable media go to dl_dr_integral on params["grid_cells"] cells.
+    Otherwise each term is Richardson-refined over three resolutions and the
+    error_estimate sums the per-term extrapolation corrections.  The
     bound_ratios["holder"] entry divides |value| by the estimated right side
     of the a-priori bound  ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
     """
@@ -280,17 +245,33 @@ def integrate_fractional(
     reg.require_admissible()
     alpha = reg.alpha
     t0 = time.perf_counter()
+    params = {
+        "a": a,
+        "b": b,
+        "tau": reg.tau,
+        "lam": reg.lam,
+        "gamma": reg.gamma,
+        "n_nodes": cfg.n_nodes,
+        "n_outer": cfg.n_outer,
+        "n_triple": cfg.n_triple,
+    }
 
-    r1 = refine_levels(lambda n: _term_i1(w, phi, alpha, a, b, n, cfg), cfg.n_nodes, cfg.tol)
-    r2 = refine_levels(lambda n: _term_i2(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
-    r3 = refine_levels(lambda n: _term_i3(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
-    r4 = refine_levels(lambda n: _term_i4(w, phi, alpha, a, b, n, cfg), cfg.n_triple, cfg.tol)
-
-    s = math.sin(math.pi * alpha) / math.pi  # 1/(Gamma(al) Gamma(1-al))
-    combined = combine_results(
-        [r1, r2, r3, r4],
-        [-s, -s * alpha, -s * (1.0 - alpha), -s * alpha * (1.0 - alpha)],
-    )
+    factors = w.time_space_factors()
+    if factors is not None:
+        g, h = factors
+        combined = dl_dr_integral(lambda t: h(phi(t)), g, alpha, a, b,
+                                  mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg)
+        params["grid_cells"] = cfg.grid_cells()
+    else:
+        r1 = refine_levels(lambda n: _term_i1(w, phi, alpha, a, b, n, cfg), cfg.n_nodes, cfg.tol)
+        r2 = refine_levels(lambda n: _term_i2(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
+        r3 = refine_levels(lambda n: _term_i3(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
+        r4 = refine_levels(lambda n: _term_i4(w, phi, alpha, a, b, n, cfg), cfg.n_triple, cfg.tol)
+        s = math.sin(math.pi * alpha) / math.pi  # 1/(Gamma(al) Gamma(1-al))
+        combined = combine_results(
+            [r1, r2, r3, r4],
+            [-s, -s * alpha, -s * (1.0 - alpha), -s * alpha * (1.0 - alpha)],
+        )
 
     bound_ratios: dict = {}
     if with_bounds:
@@ -312,16 +293,7 @@ def integrate_fractional(
         bound_ratios=bound_ratios,
         runtime_ms=runtime_ms,
         converged=combined.converged,
-        params={
-            "a": a,
-            "b": b,
-            "tau": reg.tau,
-            "lam": reg.lam,
-            "gamma": reg.gamma,
-            "n_nodes": cfg.n_nodes,
-            "n_outer": cfg.n_outer,
-            "n_triple": cfg.n_triple,
-        },
+        params=params,
     )
 
 

@@ -1,11 +1,11 @@
-"""Singular quadrature on algebraically graded meshes.
+"""Singular quadrature on graded meshes and on a uniform grid.
 
 All integrals in this package reduce to the form
 
     integral_0^L  u^p * G(u) du
 
 with an endpoint power weight u^p and a factor G that is bounded (and usually
-Holder continuous) near u = 0.  Each mesh cell contributes
+Holder continuous) near u = 0.  On a graded mesh each cell contributes
 
     m_k * G(c_k),      m_k = integral of u^p over the cell,
                        c_k = u^p-weighted centroid of the cell,
@@ -14,15 +14,16 @@ both in closed form, so the rule is exact whenever G is affine on a cell.  The
 mesh is algebraically graded toward u = 0, with edges L (k/n)^g and the
 exponent g chosen so the composite rule is second order for the kernel's
 power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
-a relative floor and the floor cell is excluded.  Every such difference
-integral is finished by `singular_sum`, the one place where the part below
-the floor is modeled (linearly in u, in closed form).
+a relative floor; `singular_sum` models the part below it (linearly in u).
+On the uniform grid G is piecewise linear and u^p is integrated exactly
+against each hat function (`hat_weights`), so the Marchaud sums at all nodes
+are one FFT convolution (`marchaud_conv`, after Lubich 1986).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = [
     "singular_cells",
     "singular_sum",
     "two_sided_cells",
+    "hat_weights",
+    "marchaud_conv",
+    "two_sided_grid_sum",
     "refine_levels",
 ]
 
@@ -49,7 +53,8 @@ class QuadratureConfig:
     far-end clustering.  split_radius is the relative radius below which an
     inner difference integral switches to its near-singularity zone, and
     tail_floor the relative scale below which differences are modeled by the
-    local power law instead of being evaluated.
+    local power law instead of being evaluated.  The uniform grid has
+    N = n_outer**2 / 16 cells, rounded down to a multiple of 8 (grid_cells).
     """
 
     n_nodes: int = 4096
@@ -80,14 +85,9 @@ class QuadratureConfig:
         """The fixed mesh exponent, or None when grading is "auto"."""
         return None if self.grading == "auto" else float(self.grading)
 
-    def scaled(self, factor: float) -> "QuadratureConfig":
-        """A copy with every cell count scaled by `factor` (floored at 8)."""
-        return replace(
-            self,
-            n_nodes=max(8, int(self.n_nodes * factor)),
-            n_outer=max(8, int(self.n_outer * factor)),
-            n_triple=max(8, int(self.n_triple * factor)),
-        )
+    def grid_cells(self) -> int:
+        """A uniform grid must resolve the finest scale everywhere: square the budget."""
+        return max(8, self.n_outer**2 // 128 * 8)
 
 
 @dataclass(frozen=True)
@@ -247,27 +247,92 @@ def two_sided_cells(
     return weights, nodes, dist_a, dist_b
 
 
+def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo_k = int_k^(k+1) (k+1-u) u^p du and hi_k = int_k^(k+1) (u-k) u^p du.
+
+    These are the moments of u^p against the two hat functions of each unit
+    cell k = 0..n-1.  Requires p > -2, p != -1; for p < -1 lo_0 diverges and
+    is returned as 0 (a Marchaud sum multiplies it by a zero difference).
+    """
+    q1, q2 = p + 1.0, p + 2.0
+    if q2 <= 0.0 or q1 == 0.0:
+        raise ValueError(f"hat weights need p > -2 and p != -1, got {p}")
+    # Past cell 0 the closed forms cancel (about k^2 ulps lost); a series about
+    # the midpoint m = k + 1/2 serves, t = 1/(2m): lo, hi = mass/2 -+ first with
+    # mass = int_(|s|<1/2) (m+s)^p ds = m^p sum_(j even) binom(p, j) t^j / (j+1)
+    # and first = int s (m+s)^p ds = m^p sum_(j odd) binom(p, j) t^j / (2 (j+2)).
+    j = np.arange(36)  # in cell 1 the first term left out is below 1e-17 relative
+    binom = np.cumprod(np.concatenate([[1.0], (p - j[:-1]) / (j[:-1] + 1.0)]))
+    coef = np.stack([binom[0::2] / (j[0::2] + 1.0), binom[1::2] / (2.0 * (j[1::2] + 2.0))])
+    m = np.arange(n) + 0.5
+    t2 = (0.5 / m) ** 2
+    series = np.repeat(coef[:, -1:], n, axis=1)
+    for c in coef[:, -2::-1].T:  # Horner in t^2, in place: temporaries fragment the heap
+        series *= t2
+        series += c[:, None]
+    mass, first = series
+    scale = 0.5 * m**p
+    mass *= scale
+    first *= scale / m
+    lo = mass - first
+    mass += first
+    lo[0], mass[0] = (1.0 / q1 - 1.0 / q2 if q1 > 0.0 else 0.0), 1.0 / q2
+    return lo, mass
+
+
+def marchaud_conv(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int_0^j [v(j) - v(j-u)] u^p du at every node j = 0..n, by one FFT.
+
+    v interpolates values = v_0..v_n linearly between unit-spaced nodes and
+    (lo, hi) = hat_weights(p, m > n).  With c_m = lo_m + hi_(m-1) the sum at
+    j is sum_(m=1..j) c_m (v_j - v_(j-m)) - lo_j (v_j - v_0).
+    """
+    n = values.size - 1
+    c = lo[1 : n + 1] + hi[:n]
+    conv = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(values[:-1], 2 * n), 2 * n)[:n]
+    return np.concatenate([[0.0], values[1:] * np.cumsum(c) - conv - lo[1 : n + 1] * (values[1:] - values[0])])
+
+
+def two_sided_grid_sum(values: np.ndarray, p_a: float, p_b: float, w_a, w_b) -> float:
+    """int_0^n u^p_a (n-u)^p_b F(u) du from F at the unit-spaced nodes 0..n, n even.
+
+    Each half integrates its endpoint's power against the hat functions (w_a,
+    w_b = hat_weights(p_a | p_b, m >= n/2)), the other power at the nodes."""
+    half = (values.size - 1) // 2
+    dist = 2 * half - np.arange(half + 1.0)  # to the far end
+    left = (np.concatenate([w_a[0][:half], [0.0]]) + np.concatenate([[0.0], w_a[1][:half]])) * dist**p_b
+    right = (np.concatenate([w_b[0][:half], [0.0]]) + np.concatenate([[0.0], w_b[1][:half]])) * dist**p_a
+    return float(left @ values[: half + 1] + right @ values[::-1][: half + 1])
+
+
 def refine_levels(
     evaluate: Callable[[int], float],
     n: int,
     tol: float,
-    scale_floor: float = 0.0,
+    order: float | None = None,
 ) -> QuadResult:
     """Run `evaluate` at cell counts n/4, n/2, n and Richardson-extrapolate.
 
-    The empirical order is fitted from the two successive differences; if it
-    is stable the extrapolated value is returned with the extrapolation step
-    as the error estimate, otherwise the finest value with the last difference
-    as the estimate.  `converged` reflects the node-doubling test at 10*tol
-    relative to max(|value|, scale_floor).
+    At a known `order` the error estimate is the correction plus the coarser
+    levels' change carried to the finest.  Otherwise the order is fitted from
+    the two successive differences; if it is stable the extrapolated value is
+    returned with the extrapolation step as the error estimate, otherwise the
+    finest value with the last difference as the estimate.  `converged`
+    reflects the node-doubling test at 10*tol relative to |value|.
     """
     ns = [max(8, n // 4), max(8, n // 2), n]
     vals = [evaluate(k) for k in ns]
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
-    scale = max(abs(vals[2]), scale_floor, 1e-300)
+    scale = max(abs(vals[2]), 1e-300)
     if abs(d2) <= 1e-15 * scale:
         return QuadResult(vals[2], abs(d2), True, tuple(vals))
+    converged = bool(abs(d2) <= 10.0 * tol * scale)
+    if order is not None:
+        ratio = 2.0**order
+        corr = d2 / (ratio - 1.0)
+        err = abs(corr) + abs(d1) / (ratio * (ratio - 1.0))
+        return QuadResult(vals[2] + corr, err, converged, tuple(vals))
     order = np.log2(abs(d1) / abs(d2)) if d1 != 0.0 else np.inf
     if 1.5 <= order <= 2.5:
         order = 2.0  # the composite rule's theoretical order; snapping keeps
@@ -280,7 +345,6 @@ def refine_levels(
     else:
         value = vals[2]
         err = 1.5 * abs(d2)
-    converged = abs(d2) <= 10.0 * tol * scale
     return QuadResult(value, err, converged, tuple(vals))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlyoung.fields import GridField, ProductField, Regularity, RegularityError, SumField
+from nlyoung.fraccalc import dl_dr_integral
 from nlyoung.iterated import DiagonalField
 from nlyoung.nonlinear import (
     Germ,
@@ -74,6 +75,22 @@ def test_reduction_to_young_integral(rough_case):
     rep = integrate_fractional(w, phi, reg, 0.0, 1.0, cfg, with_bounds=False)
     young = young_integral(phi, w.g, reg.gamma, reg.tau, 0.0, 1.0)
     assert abs(rep.value - young.value) <= 5.0 * (rep.error_estimate + young.error_estimate)
+
+
+def test_separable_media_take_the_grid_route():
+    # W = g(t) h(x): the fractional expansion is the Young form of int h(phi) dg
+    g = make_weierstrass(0.7, 12, phases=[0.3] * 12)
+    h = make_weierstrass(0.8, 10)
+    phi = make_weierstrass(0.625, 12)
+    reg = Regularity(0.7, 0.8, 0.625)
+    cfg = QuadratureConfig(n_outer=256)
+    rep = integrate_fractional(ProductField(g, h), phi, reg, 0.1, 0.9, cfg, with_bounds=False)
+    quad = dl_dr_integral(lambda t: h(phi(t)), g, reg.alpha, 0.1, 0.9, cfg=cfg)
+    assert (rep.value, rep.error_estimate, rep.converged) == (quad.value, quad.error_estimate, quad.converged)
+    assert rep.params["grid_cells"] == cfg.grid_cells() == 4096
+    ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)
+    grid = GridField(ts, xs, ts[:, None] * xs[None, :])
+    assert "grid_cells" not in integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False).params
 
 
 def test_holder_bound_ratio_reported(rough_case):

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from nlyoung.quadrature import (
     QuadratureConfig,
+    hat_weights,
+    marchaud_conv,
     power_cells,
     refine_levels,
     singular_cells,
     singular_sum,
     two_sided_cells,
+    two_sided_grid_sum,
 )
 
 
@@ -23,8 +26,12 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
-    cfg = QuadratureConfig()
-    assert cfg.scaled(0.5).n_nodes == cfg.n_nodes // 2
+
+
+@pytest.mark.parametrize("n_outer,cells", [(1024, 65536), (768, 36864), (512, 16384), (96, 576), (100, 624), (8, 8)])
+def test_grid_cells_from_budget(n_outer, cells):
+    # N = n_outer^2 / 16 rounded down to a multiple of 8, so N/4 is even
+    assert QuadratureConfig(n_outer=n_outer).grid_cells() == cells
 
 
 def test_power_cells_closed_forms():
@@ -123,3 +130,78 @@ def test_refine_levels_fallback_on_unstable_order():
     assert res.value == pytest.approx(1.3)
     assert res.error_estimate == pytest.approx(0.3)
     assert not res.converged
+
+
+def _hat_reference(p, k):
+    """(lo_k, hi_k) by 40-point Gauss-Legendre on 8 panels of the cell;
+    on cell 0 the moments of u^p are closed forms."""
+    if k == 0:
+        return 1.0 / (p + 1.0) - 1.0 / (p + 2.0) if p > -1.0 else 0.0, 1.0 / (p + 2.0)
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = k + np.arange(9) / 8.0
+    half = 0.5 * np.diff(edges)[:, None]
+    u = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+    wu = half * w * u**p
+    return float(np.sum(wu * (k + 1.0 - u))), float(np.sum(wu * (u - k)))
+
+
+@pytest.mark.parametrize("p", [-1.9, -1.5, -1.15, -0.85, -0.5, -0.1, 0.3])
+def test_hat_weights_match_reference(p):
+    # near cells use closed forms, far cells the midpoint series
+    lo, hi = hat_weights(p, 5000)
+    for k in (0, 1, 2, 3, 4, 5, 7, 8, 31, 32, 100, 1000, 4999):
+        want = _hat_reference(p, k)
+        np.testing.assert_allclose([lo[k], hi[k]], want, rtol=1e-13, atol=0.0)
+
+
+def test_hat_weights_reject_bad_powers():
+    for p in (-1.0, -2.0, -2.5):
+        with pytest.raises(ValueError):
+            hat_weights(p, 16)
+
+
+@pytest.mark.parametrize("p", [-1.8, -1.5, -1.2])
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+def test_marchaud_conv_matches_direct_sum(p, n):
+    # the O(n^2) sum over cells: v_j - v(j-u) is linear on each cell
+    lo, hi = hat_weights(p, n + 1)
+    v = np.random.default_rng(n).normal(size=n + 1)
+    want = [
+        sum((v[j] - v[j - k]) * lo[k] + (v[j] - v[j - k - 1]) * hi[k] for k in range(j))
+        for j in range(n + 1)
+    ]
+    np.testing.assert_allclose(marchaud_conv(v, lo, hi), want, rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    alpha=st.floats(0.05, 0.95),
+    left=st.booleans(),
+    n=st.integers(1, 300),
+    c0=st.floats(-5.0, 5.0),
+    c1=st.floats(-2.0, 2.0),
+)
+def test_marchaud_conv_linear_data_exact(alpha, left, n, c0, c1):
+    # v_j = c0 + c1 j: int_0^j c1 u^(p+1) du = c1 j^(p+2) / (p+2) at every node
+    p = -alpha - 1.0 if left else alpha - 2.0
+    j = np.arange(n + 1.0)
+    got = marchaud_conv(c0 + c1 * j, *hat_weights(p, n + 1))
+    want = c1 * j ** (p + 2.0) / (p + 2.0)
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * (abs(c0) + abs(c1)))
+
+
+def test_two_sided_grid_sum_beta_integral():
+    # int_0^n u^(-1/2) (n-u)^(-1/3) du = n^(1/6) B(1/2, 2/3)
+    n = 4096
+    got = two_sided_grid_sum(np.ones(n + 1), -0.5, -1.0 / 3.0, hat_weights(-0.5, n // 2), hat_weights(-1.0 / 3.0, n // 2))
+    beta = math.gamma(0.5) * math.gamma(2.0 / 3.0) / math.gamma(0.5 + 2.0 / 3.0)
+    assert got == pytest.approx(n ** (1.0 / 6.0) * beta, rel=1e-5)
+
+
+def test_refine_levels_fixed_order():
+    # v(n) = L + c n^(-q): extrapolation at the known order q is exact
+    q = 1.35
+    res = refine_levels(lambda n: 2.0 + 7.0 / n**q, 4096, 1e-6, order=q)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert res.error_estimate == pytest.approx(2.0 * (res.levels[2] - 2.0), rel=1e-9)
+    assert type(res.converged) is bool

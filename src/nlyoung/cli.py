@@ -2,7 +2,8 @@
 
 Subcommands: integrate, young, bounds, indefinite, iterate, suite, holder,
 frac.  Exit codes: 0 all declared tolerances pass, 1 a tolerance failed,
-2 spec/argument validation failed, 3 a refinement did not converge.
+2 spec/argument validation failed or an input file is missing, 3 a
+refinement did not converge.
 Reports are JSON (and CSV tables for the bound studies); --no-timestamp
 removes wall-clock fields so identical runs are byte-identical.
 """
@@ -15,11 +16,11 @@ import sys
 from pathlib import Path
 
 from . import experiments as xp
-from .fields import Regularity, RegularityError, holder_seminorm_field
+from .fields import Regularity, holder_seminorm_field
 from .fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
 from .iterated import JointField, growth_check, iterated_integral
 from .nonlinear import indefinite_integral, stability_in_medium, stability_in_path
-from .paths import holder_seminorm_path, make_function, write_path_csv
+from .paths import _split_top_level, holder_seminorm_path, make_function, write_path_csv
 from .quadrature import QuadratureConfig
 from .young import young_integral
 
@@ -27,22 +28,6 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
-
-
-def _split_descriptor_list(text: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return [s.strip() for s in out if s.strip()]
 
 
 def _emit(args, payload: dict, filename: str) -> None:
@@ -171,7 +156,7 @@ def cmd_indefinite(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    descs = _split_descriptor_list(args.fields)
+    descs = [d.strip() for d in _split_top_level(args.fields) if d.strip()]
     if args.n and len(descs) == 1:
         descs = descs * args.n
     joints = [JointField(xp.load_field(d), args.tau, getattr(args, "lambda")) for d in descs]
@@ -257,9 +242,10 @@ def cmd_frac(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="directory for report files")
-    p.add_argument("--quad", default=None, help="quadrature overrides, e.g. n=4096,tol=1e-8")
+    p.add_argument("--quad", default=None,
+                   help="quadrature overrides from the keys n (n_nodes), n_outer, tail_floor "
+                        "and tol, e.g. n=4096,tol=1e-8")
     p.add_argument("--no-timestamp", action="store_true", help="omit timing for byte-identical reports")
-    p.add_argument("--jobs", type=int, default=1, help="parallel specs inside suites")
 
 
 def _add_regularity(p: argparse.ArgumentParser) -> None:
@@ -344,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a pinned acceptance suite")
     p.add_argument("suite_name", choices=list(xp.SUITE_NAMES))
+    p.add_argument("--jobs", type=int, default=1, help="parallel specs inside suites")
     _add_common(p)
     p.set_defaults(func=cmd_suite)
 
@@ -381,15 +368,9 @@ def main(argv=None) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
-    except xp.SpecValidationError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # includes SpecValidationError, RegularityError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RegularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except xp.NonconvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ used both by the command line and by the acceptance tests.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "RunReport",
     "SpecValidationError",
-    "NonconvergenceError",
     "run",
     "suite",
     "SUITE_NAMES",
@@ -49,10 +47,6 @@ __all__ = [
 
 class SpecValidationError(ValueError):
     """The experiment spec is malformed or violates an admissibility condition."""
-
-
-class NonconvergenceError(RuntimeError):
-    """A quadrature or Riemann-sum refinement failed its convergence check."""
 
 
 _SPEC_FIELDS = {
@@ -158,7 +152,7 @@ class RunReport:
 
 
 def parse_quad_fragment(text: str) -> dict:
-    """Parse a CLI quadrature fragment like 'n=4096,grading=auto,tol=1e-8'."""
+    """Parse a CLI quadrature fragment like 'n=4096,n_outer=256,tol=1e-8'."""
     out: dict = {}
     if not text:
         return out
@@ -170,11 +164,9 @@ def parse_quad_fragment(text: str) -> dict:
         val = val.strip()
         if key == "n":
             key = "n_nodes"
-        if key in ("n_nodes", "n_outer", "n_triple"):
+        if key in ("n_nodes", "n_outer"):
             convert = int
-        elif key == "grading":
-            convert = lambda v: v if v == "auto" else float(v)
-        elif key in ("split_radius", "tail_floor", "tol"):
+        elif key in ("tail_floor", "tol"):
             convert = float
         else:
             raise SpecValidationError(f"unknown quadrature option {key!r}")
@@ -218,8 +210,6 @@ def run(spec: ExperimentSpec, with_timing: bool = True) -> RunReport:
         reg.require_admissible()
     except (RegularityError, ValueError, FileNotFoundError) as exc:
         raise SpecValidationError(str(exc)) from exc
-    if not (math.isfinite(spec.a) and math.isfinite(spec.b) and spec.a < spec.b):
-        raise SpecValidationError(f"need finite a < b, got a={spec.a}, b={spec.b}")
     for m in spec.methods:
         if m not in ("fractional", "sewing"):
             raise SpecValidationError(f"unknown method {m!r}")
@@ -712,10 +702,6 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def dump_report(report: RunReport, with_timing: bool = True) -> str:
-    return json.dumps(report.to_json_dict(with_timing), indent=2, sort_keys=True)
 
 
 def write_csv_rows(path, rows: list[dict]) -> None:

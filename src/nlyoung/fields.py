@@ -341,14 +341,20 @@ class FieldHolderReport:
         return self.rect_term
 
 
-def _axis_pairs(lo: float, hi: float, n_coarse: int, n_fine: int, max_lag: int):
+# the probe grid of holder_seminorm_field
+_N_COARSE = 40
+_N_FINE = 384
+_MAX_LAG = 16
+
+
+def _axis_pairs(lo: float, hi: float):
     """Deterministic probe pairs on [lo, hi]: all coarse pairs + fine small lags."""
-    coarse = np.linspace(lo, hi, n_coarse + 1)
+    coarse = np.linspace(lo, hi, _N_COARSE + 1)
     i, j = np.triu_indices(coarse.size, k=1)
     s = [coarse[i]]
     t = [coarse[j]]
-    fine = np.linspace(lo, hi, n_fine + 1)
-    for lag in range(1, max_lag + 1):
+    fine = np.linspace(lo, hi, _N_FINE + 1)
+    for lag in range(1, _MAX_LAG + 1):
         idx = np.arange(0, fine.size - lag, 4)
         s.append(fine[idx])
         t.append(fine[idx + lag])
@@ -361,9 +367,6 @@ def holder_seminorm_field(
     a: float,
     b: float,
     box: tuple[float, float],
-    n_coarse: int = 40,
-    n_fine: int = 384,
-    max_lag: int = 16,
 ) -> FieldHolderReport:
     """Probe-grid estimates of the rectangular, time and space seminorm terms.
 
@@ -373,12 +376,10 @@ def holder_seminorm_field(
     """
     if a >= b or box[0] >= box[1]:
         raise ValueError("need a < b and a nonempty spatial box")
-    if n_coarse < 1 or n_fine < 1:
-        raise ValueError("probe grid must be nonempty")
-    ts_s, ts_t = _axis_pairs(a, b, n_coarse, n_fine, max_lag)
-    xs_s, xs_t = _axis_pairs(box[0], box[1], n_coarse, n_fine, max_lag)
-    t_probe = np.linspace(a, b, n_coarse + 1)
-    x_probe = np.linspace(box[0], box[1], n_coarse + 1)
+    ts_s, ts_t = _axis_pairs(a, b)
+    xs_s, xs_t = _axis_pairs(box[0], box[1])
+    t_probe = np.linspace(a, b, _N_COARSE + 1)
+    x_probe = np.linspace(box[0], box[1], _N_COARSE + 1)
 
     dt_pow = (ts_t - ts_s) ** reg.tau
     dx_pow = (xs_t - xs_s) ** reg.lam

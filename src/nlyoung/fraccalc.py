@@ -15,12 +15,14 @@ every point, on a uniform grid.  The gamma function is math.gamma.
 
 from __future__ import annotations
 
+import math
 from math import gamma
 
 import numpy as np
 
 from .paths import path_diff
 from .quadrature import (
+    SPLIT_RADIUS,
     QuadratureConfig,
     QuadResult,
     hat_weights,
@@ -50,12 +52,16 @@ def _require_order(alpha: float) -> None:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
 
 
+def _require_interval(a: float, b: float, names: tuple[str, str] = ("a", "b")) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        lo, hi = names
+        raise ValueError(f"need finite {lo} < {hi}, got {lo}={a}, {hi}={b}")
+
+
 def _side_point(lo: float, hi: float, side: float) -> float:
     """The evaluation point t of a sided operator on [lo, hi]: hi for the
-    left side, lo for the right one; rejects an empty interval."""
-    if hi <= lo:
-        lo_name, hi_name = ("a", "t") if side < 0 else ("t", "b")
-        raise ValueError(f"need {hi_name} > {lo_name}, got {lo_name}={lo}, {hi_name}={hi}")
+    left side, lo for the right one; rejects an empty or unbounded interval."""
+    _require_interval(lo, hi, ("a", "t") if side < 0 else ("t", "b"))
     return hi if side < 0 else lo
 
 
@@ -67,7 +73,7 @@ def _frac_integral(f, alpha: float, lo: float, hi: float, side: float, cfg: Quad
     inv_gamma = 1.0 / gamma(alpha)
 
     def evaluate(n: int) -> float:
-        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor, grading=cfg.grading_override())
+        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor)
         return inv_gamma * float(mass @ np.asarray(f(t + side * cent), dtype=float))
 
     return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
@@ -112,10 +118,7 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
     def evaluate(n: int) -> float:
         # cells built at the true scale (scale factor 1, absolute floor):
         # rescaled reference cells add rounding that this kernel amplifies
-        mass, cent = singular_cells(
-            length, p, n, cfg.tail_floor, far_grading=far_g,
-            split=cfg.split_radius, grading=cfg.grading_override(),
-        )
+        mass, cent = singular_cells(length, p, n, cfg.tail_floor, far_g, SPLIT_RADIUS)
         d = np.asarray(path_diff(f, t, t + side * cent), dtype=float)
         f_max[0] = max(abs(ft), float(np.max(np.abs(ft - d))))
         s_int = singular_sum(d, 1.0, mass, cent, cfg.tail_floor * length, p)
@@ -189,8 +192,7 @@ def dl_dr_integral(
         raise ValueError(f"need mu_f > gamma, got mu_f={mu_f}, gamma={gam}")
     if beta_g <= 1.0 - gam:
         raise ValueError(f"need beta_g > 1 - gamma, got beta_g={beta_g}, gamma={gam}")
-    if b <= a:
-        raise ValueError("need a < b")
+    _require_interval(a, b)
     big_n = cfg.grid_cells()
     ts = np.linspace(a, b, big_n + 1)
     fv, gv = np.asarray(f(ts), dtype=float), np.asarray(g(ts), dtype=float)

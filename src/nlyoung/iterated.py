@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, Regularity, RegularityError
-from .nonlinear import IntegralReport, integrate_fractional, integrate_sewing
+from .nonlinear import Germ, IntegralReport, integrate_fractional, integrate_sewing
 from .paths import SampledPath, path_diff
 from .quadrature import QuadratureConfig
 from .regression import lag_scaling_slope, ls_slope
@@ -237,14 +237,10 @@ def iterated_integral(
     for k, joint in enumerate(fields):
         reg = Regularity(joint.tau, joint.lam, 1.0)
         reg.require_admissible()
-        base = joint.field
-        dens = carrier
         if variant == "diagonal":
-            def germ(u, v, base=base, dens=dens):
-                return np.asarray(dens(u)) * np.asarray(base.increment_t(u, v, u))
+            germ = Germ(DiagonalField(joint.field, carrier), _identity)
         else:
-            def germ(u, v, base=base, dens=dens):
-                return np.asarray(base.increment_t(u, v, np.asarray(dens(u))))
+            germ = Germ(joint.field, carrier)
         path, err = _stage_path(germ, a, b, n_points, fine_level)
         err_total += err
         exponent = _estimated_exponent(path)

@@ -35,7 +35,7 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
-from .fraccalc import dl_dr_integral
+from .fraccalc import _require_interval, dl_dr_integral
 from .paths import (
     HolderReport,
     SampledPath,
@@ -43,6 +43,7 @@ from .paths import (
     sample_function,
 )
 from .quadrature import (
+    SPLIT_RADIUS,
     QuadratureConfig,
     combine_results,
     refine_levels,
@@ -125,11 +126,6 @@ class NormEstimates:
     box: tuple[float, float]
 
 
-def _require_interval(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got a={a}, b={b}")
-
-
 def _phi_box(phi, a: float, b: float, n: int = 1024) -> tuple[float, float]:
     ts = np.linspace(a, b, n + 1)
     v = np.asarray(phi(ts), dtype=float)
@@ -157,18 +153,15 @@ def estimate_norms(w: Field, phi, reg: Regularity, a: float, b: float) -> NormEs
 
 
 def _term_i1(w, phi, alpha, a, b, n, cfg):
-    wts, ts, _, _ = two_sided_cells(a, b, -alpha, alpha - 1.0, n, cfg.tail_floor, cfg.grading_override())
+    wts, ts, _, _ = two_sided_cells(a, b, -alpha, alpha - 1.0, n)
     vals = -w.increment_t(ts, b, phi(ts))  # W_{b-}(t, phi_t)
     return float(wts @ np.asarray(vals, dtype=float))
 
 
 def _term_i2(w, phi, alpha, a, b, n, cfg):
-    wts, ts, length, _ = two_sided_cells(a, b, 0.0, alpha - 1.0, n, cfg.tail_floor, cfg.grading_override())
+    wts, ts, length, _ = two_sided_cells(a, b, 0.0, alpha - 1.0, n)
     phis = np.asarray(phi(ts), dtype=float)
-    m_ref, c_ref = singular_cells(
-        1.0, -alpha - 1.0, n, cfg.tail_floor, 1.0, cfg.split_radius,
-        grading=cfg.grading_override(),
-    )
+    m_ref, c_ref = singular_cells(1.0, -alpha - 1.0, n, cfg.tail_floor, 1.0, SPLIT_RADIUS)
     r = ts[:, None] - length[:, None] * c_ref[None, :]
     rect = np.asarray(
         w.increment_rect(ts[:, None], b, phis[:, None], np.asarray(phi(r), dtype=float)),
@@ -178,11 +171,8 @@ def _term_i2(w, phi, alpha, a, b, n, cfg):
 
 
 def _term_i3(w, phi, alpha, a, b, n, cfg):
-    wts, ts, _, length = two_sided_cells(a, b, -alpha, 0.0, n, cfg.tail_floor, cfg.grading_override())
-    m_ref, c_ref = singular_cells(
-        1.0, alpha - 2.0, n, cfg.tail_floor, 1.0, cfg.split_radius,
-        grading=cfg.grading_override(),
-    )
+    wts, ts, _, length = two_sided_cells(a, b, -alpha, 0.0, n)
+    m_ref, c_ref = singular_cells(1.0, alpha - 2.0, n, cfg.tail_floor, 1.0, SPLIT_RADIUS)
     phis = np.asarray(phi(ts), dtype=float)
     s = ts[:, None] + length[:, None] * c_ref[None, :]
     diff = np.asarray(w.increment_t(s, ts[:, None], phis[:, None]), dtype=float)
@@ -191,13 +181,9 @@ def _term_i3(w, phi, alpha, a, b, n, cfg):
 
 def _term_i4(w, phi, alpha, a, b, n, cfg):
     floor = cfg.tail_floor
-    wts, ts, dist_a, dist_b = two_sided_cells(a, b, 0.0, 0.0, n, floor, cfg.grading_override())
-    m_r, c_r = singular_cells(
-        1.0, -alpha - 1.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
-    )
-    m_s, c_s = singular_cells(
-        1.0, alpha - 2.0, n, floor, 1.0, cfg.split_radius, grading=cfg.grading_override()
-    )
+    wts, ts, dist_a, dist_b = two_sided_cells(a, b, 0.0, 0.0, n)
+    m_r, c_r = singular_cells(1.0, -alpha - 1.0, n, floor, 1.0, SPLIT_RADIUS)
+    m_s, c_s = singular_cells(1.0, alpha - 2.0, n, floor, 1.0, SPLIT_RADIUS)
     phis = np.asarray(phi(ts), dtype=float)
     total = 0.0
     chunk = max(1, 2_000_000 // (m_r.size * m_s.size))
@@ -251,9 +237,7 @@ def integrate_fractional(
         "tau": reg.tau,
         "lam": reg.lam,
         "gamma": reg.gamma,
-        "n_nodes": cfg.n_nodes,
         "n_outer": cfg.n_outer,
-        "n_triple": cfg.n_triple,
     }
 
     factors = w.time_space_factors()
@@ -263,10 +247,11 @@ def integrate_fractional(
                                   mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg)
         params["grid_cells"] = cfg.grid_cells()
     else:
+        params.update(n_nodes=cfg.n_nodes, n_triple=cfg.triple_cells())
         r1 = refine_levels(lambda n: _term_i1(w, phi, alpha, a, b, n, cfg), cfg.n_nodes, cfg.tol)
         r2 = refine_levels(lambda n: _term_i2(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
         r3 = refine_levels(lambda n: _term_i3(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
-        r4 = refine_levels(lambda n: _term_i4(w, phi, alpha, a, b, n, cfg), cfg.n_triple, cfg.tol)
+        r4 = refine_levels(lambda n: _term_i4(w, phi, alpha, a, b, n, cfg), cfg.triple_cells(), cfg.tol)
         s = math.sin(math.pi * alpha) / math.pi  # 1/(Gamma(al) Gamma(1-al))
         combined = combine_results(
             [r1, r2, r3, r4],
@@ -367,15 +352,14 @@ def integrate_sewing(
     b: float,
     max_levels: int = 18,
     tol: float = 1e-10,
-    min_levels: int = 4,
 ) -> tuple[IntegralReport, SewingTrace]:
     """int_a^b W(dt, phi_t) as the limit of germ Riemann sums.
 
     Dyadic partitions with 2^k intervals are refined until successive sums
-    differ by less than tol (or max_levels is hit); params["stop_reason"]
-    says which.  The reported value is the Richardson extrapolation of the
-    last three sums at the observed order, falling back to the finest sum
-    when the order estimate is unstable.
+    differ by less than tol, from level 4 on, or max_levels is hit;
+    params["stop_reason"] says which.  The reported value is the Richardson
+    extrapolation of the last three sums at the observed order, falling back
+    to the finest sum when the order estimate is unstable.
 
     Separable media W = g(t) h(x) whose g has no `diff` (so g increments are
     plain differences) reuse the nodes of the coarser partitions: g, phi and
@@ -394,7 +378,7 @@ def integrate_sewing(
     stop_reason = "max_levels"
     for k, level_sum in zip(range(max_levels + 1), level_sums):
         sums.append(level_sum)
-        if k >= min_levels and abs(sums[-1] - sums[-2]) < tol:
+        if k >= 4 and abs(sums[-1] - sums[-2]) < tol:
             stop_reason = "tol"
             break
 
@@ -582,7 +566,7 @@ def indefinite_integral(
     """
     if n_points < 9:
         raise ValueError("need n_points >= 9")
-    cfg = cfg or QuadratureConfig(n_nodes=512, n_outer=96, n_triple=24)
+    cfg = cfg or QuadratureConfig(n_nodes=512, n_outer=96)
     ts = np.linspace(a, b, n_points)
     increments = np.empty(n_points - 1)
     err = 0.0

@@ -217,7 +217,10 @@ def _probe_times(p: SampledPath, a: float, b: float) -> tuple[np.ndarray, np.nda
 
 
 def _pair_schedule(n: int) -> list[int]:
-    """Deterministic lag schedule: every small lag, then geometric spacing."""
+    """Deterministic lag schedule: every lag for at most _ALL_PAIRS_LIMIT
+    samples, otherwise every small lag, then geometric spacing."""
+    if n <= _ALL_PAIRS_LIMIT:
+        return list(range(1, n))
     lags = list(range(1, min(_DENSE_LAGS, n - 1) + 1))
     lag = _DENSE_LAGS
     while lag < n - 1:
@@ -249,24 +252,14 @@ def holder_seminorm_path(
     best = -1.0
     best_pair = (float(ts[0]), float(ts[-1]))
     n_pairs = 0
-    if n <= _ALL_PAIRS_LIMIT:
-        for k in range(n - 1):
-            dtk = ts[k + 1 :] - ts[k]
-            ratios = np.abs(vals[k + 1 :] - vals[k]) / dtk**exponent
-            n_pairs += ratios.size
-            m = int(np.argmax(ratios))
-            if ratios[m] > best:
-                best = float(ratios[m])
-                best_pair = (float(ts[k]), float(ts[k + 1 + m]))
-    else:
-        for lag in _pair_schedule(n):
-            dt = ts[lag:] - ts[:-lag]
-            ratios = np.abs(vals[lag:] - vals[:-lag]) / dt**exponent
-            n_pairs += ratios.size
-            m = int(np.argmax(ratios))
-            if ratios[m] > best:
-                best = float(ratios[m])
-                best_pair = (float(ts[m]), float(ts[m + lag]))
+    for lag in _pair_schedule(n):
+        dt = ts[lag:] - ts[:-lag]
+        ratios = np.abs(vals[lag:] - vals[:-lag]) / dt**exponent
+        n_pairs += ratios.size
+        m = int(np.argmax(ratios))
+        if ratios[m] > best:
+            best = float(ratios[m])
+            best_pair = (float(ts[m]), float(ts[m + lag]))
     return HolderReport(best, exponent, best_pair, n_pairs)
 
 

@@ -42,48 +42,40 @@ __all__ = [
 ]
 
 
+# relative radius below which an inner difference integral switches to its
+# near-singularity zone (the `split` of singular_cells)
+SPLIT_RADIUS = 1.0 / 16.0
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Resolution knobs for the singular quadrature.
 
     n_nodes is the cell count per singular direction for one-dimensional
-    integrals; the double and triple integrals use n_outer and n_triple cells
-    per direction.  grading is either "auto" (exponents chosen
-    from the declared regularity) or a fixed mesh-grading exponent used for
-    far-end clustering.  split_radius is the relative radius below which an
-    inner difference integral switches to its near-singularity zone, and
-    tail_floor the relative scale below which differences are modeled by the
-    local power law instead of being evaluated.  The uniform grid has
-    N = n_outer**2 / 16 cells, rounded down to a multiple of 8 (grid_cells).
+    integrals and n_outer for the double integrals; the triple integral uses
+    triple_cells() and the uniform grid grid_cells() cells, both derived from
+    n_outer.  tail_floor is the relative scale below which differences are
+    modeled by the local power law instead of being evaluated, and tol the
+    relative node-doubling tolerance of the convergence flag.
     """
 
     n_nodes: int = 4096
     n_outer: int = 512
-    n_triple: int = 96
-    grading: float | str = "auto"
-    split_radius: float = 1.0 / 16.0
     tail_floor: float = 1e-12
     tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name in ("n_nodes", "n_outer", "n_triple"):
+        for name in ("n_nodes", "n_outer"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
-        if isinstance(self.grading, str):
-            if self.grading != "auto":
-                raise ValueError("grading must be a number >= 1 or 'auto'")
-        elif not 1.0 <= self.grading < math.inf:
-            raise ValueError("grading must be finite and >= 1")
-        if not 0.0 < self.split_radius < 1.0:
-            raise ValueError("split_radius must lie in (0, 1)")
         if not 0.0 < self.tail_floor < 1.0:
             raise ValueError("tail_floor must lie in (0, 1)")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
 
-    def grading_override(self) -> float | None:
-        """The fixed mesh exponent, or None when grading is "auto"."""
-        return None if self.grading == "auto" else float(self.grading)
+    def triple_cells(self) -> int:
+        """Cells per direction of the triple integral: 96 at n_outer 512, 48 at 256."""
+        return max(24, 3 * self.n_outer // 16)
 
     def grid_cells(self) -> int:
         """A uniform grid must resolve the finest scale everywhere: square the budget."""
@@ -145,15 +137,13 @@ def singular_cells(
     floor_rel: float,
     far_grading: float = 1.0,
     split: float = 1.0,
-    grading: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells for int_0^length u^p G(u) du with the singular point at u=0.
 
-    The mesh is algebraically graded toward u=0; `grading` overrides the
-    exponent, which otherwise defaults to the value giving a second-order
-    composite rule: 2/(p+1) for integrable weights (p > -1, smooth G) and
-    2/(p+2) for difference kernels (p <= -1, where G vanishes linearly at 0
-    on the scales the mesh resolves).  If split < 1 the grading
+    The mesh is algebraically graded toward u=0 with the exponent giving a
+    second-order composite rule: 2/(p+1) for integrable weights (p > -1,
+    smooth G) and 2/(p+2) for difference kernels (p <= -1, where G vanishes
+    linearly at 0 on the scales the mesh resolves).  If split < 1 the grading
     applies on [0, split*length] and the far band [split*length, length] is
     graded toward u=length with exponent far_grading, for integrands rough at
     the far end.
@@ -166,10 +156,7 @@ def singular_cells(
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
-    if grading is not None:
-        g = float(grading)
-    else:
-        g = 2.0 / (p + 2.0) if p <= -1.0 else max(1.0, 2.0 / (p + 1.0))
+    g = 2.0 / (p + 2.0) if p <= -1.0 else max(1.0, 2.0 / (p + 1.0))
     if split < 1.0:
         n_near = max(4, n // 2)
         n_far = max(4, n - n_near)
@@ -216,8 +203,6 @@ def two_sided_cells(
     p_a: float,
     p_b: float,
     n: int,
-    floor_rel: float,
-    grading: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weights and nodes for int_a^b (t-a)^{p_a} (b-t)^{p_b} G(t) dt.
 
@@ -232,11 +217,12 @@ def two_sided_cells(
     distances.
     """
     half = 0.5 * (b - a)
-    m_lo, c_lo = singular_cells(half, p_a, n // 2, floor_rel, grading=grading)
+    # both powers exceed -1, so singular_cells ignores the floor
+    m_lo, c_lo = singular_cells(half, p_a, n // 2, 0.0)
     t_lo = a + c_lo
     d_lo_b = (b - a) - c_lo
     w_lo = m_lo * d_lo_b**p_b
-    m_hi, c_hi = singular_cells(half, p_b, n - n // 2, floor_rel, grading=grading)
+    m_hi, c_hi = singular_cells(half, p_b, n - n // 2, 0.0)
     t_hi = b - c_hi
     d_hi_a = (b - a) - c_hi
     w_hi = m_hi * d_hi_a**p_a

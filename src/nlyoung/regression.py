@@ -27,17 +27,17 @@ def ls_slope(x, y) -> float:
     return float((xm @ (y - y.mean())) / (xm @ xm))
 
 
-def lag_scaling_slope(ts: np.ndarray, values: np.ndarray, max_lag_fraction: float = 0.25):
+def lag_scaling_slope(ts: np.ndarray, values: np.ndarray):
     """Scaling exponent of a sampled path from dyadic-lag increments.
 
-    For each dyadic lag L the median of |v[i+L] - v[i]| is computed; the
-    least-squares slope of log(median) against log(lag length) estimates the
-    Holder exponent of the path.  Returns (slope, lag_lengths, medians).
+    For each dyadic lag L up to a quarter of the samples the median of
+    |v[i+L] - v[i]| is computed; the least-squares slope of log(median)
+    against log(lag length) estimates the Holder exponent of the path.  Returns (slope, lag_lengths, medians).
     """
     n = values.size - 1
     lags = []
     lag = 1
-    while lag <= max(1, int(n * max_lag_fraction)):
+    while lag <= max(1, n // 4):
         lags.append(lag)
         lag *= 2
     lengths = []

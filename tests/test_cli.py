@@ -247,15 +247,19 @@ def test_suite_iterated_exit_0(capsys):
 
 
 def test_quad_fragment_parsing():
-    out = parse_quad_fragment("n=2048,grading=auto,tol=1e-6,n_outer=256")
-    assert out == {"n_nodes": 2048, "grading": "auto", "tol": 1e-6, "n_outer": 256}
+    out = parse_quad_fragment("n=2048,tail_floor=1e-10,tol=1e-6,n_outer=256")
+    assert out == {"n_nodes": 2048, "tail_floor": 1e-10, "tol": 1e-6, "n_outer": 256}
     with pytest.raises(SpecValidationError):
         parse_quad_fragment("bogus=3")
     with pytest.raises(SpecValidationError):
         parse_quad_fragment("n=abc")
 
 
-@pytest.mark.parametrize("quad", ["tol=nan", "grading=nan", "n_outer=-5", "n=abc", "grading=x"])
+@pytest.mark.parametrize(
+    "quad",
+    ["tol=nan", "grading=nan", "n_outer=-5", "n=abc", "grading=x",
+     "grading=auto", "split_radius=0.1", "n_triple=48"],
+)
 def test_bad_quad_option_exit_2(capsys, quad):
     code = main(
         [
@@ -271,6 +275,45 @@ def test_bad_quad_option_exit_2(capsys, quad):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+
+
+_PRODUCT = "product:g=(identity),h=(const:c=1)"
+_ITERATE = ["iterate", "--rho", "const:c=1", "--a", "0", "--tau", "1", "--lambda", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["young", "--f", "bogus", "--g", "identity", "--a", "0", "--b", "1"],
+        ["frac", "--op", "ileft", "--f", "bogus", "--alpha", "0.5", "--t", "1"],
+        _ITERATE + ["--fields", "(bogus)", "--b", "1"],
+        ["indefinite", "--field", "bogus", "--path", "identity", "--a", "0", "--b", "1",
+         "--tau", "1", "--lambda", "1", "--gamma", "1"],
+        ["holder", "--path", "bogus", "--a", "0", "--b", "1"],
+        ["young", "--f", "identity", "--g", "identity", "--a", "1", "--b", "0"],
+        ["young", "--f", "identity", "--g", "identity", "--a", "0", "--b", "nan"],
+        ["holder", "--path", "identity", "--a", "0", "--b", "nan"],
+        _ITERATE + ["--fields", f"({_PRODUCT})", "--b", "nan"],
+        ["bounds", "--check", "centered", "--field", _PRODUCT, "--path", "identity",
+         "--a", "0", "--b", "nan", "--tau", "1", "--lambda", "1", "--gamma", "1"],
+        _ITERATE + ["--fields", f"({_PRODUCT}", "--b", "1"],
+        ["young", "--f", "no-such-file.csv", "--g", "identity", "--a", "0", "--b", "1"],
+        ["frac", "--op", "dleft", "--f", "sin", "--alpha", "0.5", "--a", "nan", "--t", "1"],
+        ["frac", "--op", "iright", "--f", "sin", "--alpha", "0.5", "--t", "0", "--b", "inf"],
+    ],
+    ids=[
+        "young-f", "frac-f", "iterate-fields", "indefinite-field", "holder-path",
+        "young-reversed", "young-b-nan", "holder-b-nan", "iterate-b-nan", "bounds-b-nan",
+        "iterate-unbalanced", "young-missing-csv", "frac-dleft-a-nan", "frac-iright-b-inf",
+    ],
+)
+def test_bad_input_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # where no-such-file.csv does not exist
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_spec_round_trip_and_unknown_keys():

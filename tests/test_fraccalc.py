@@ -201,6 +201,20 @@ def test_rs_midpoint_oracle():
     assert val == pytest.approx(2.0 * math.cos(1.0) - math.sin(1.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+def test_non_finite_endpoints_rejected(lo, hi):
+    ops = [
+        lambda: frac_integral_left(np.sin, 0.5, lo, hi, CFG),
+        lambda: frac_integral_right(np.sin, 0.5, lo, hi, CFG),
+        lambda: weyl_left(np.sin, 0.5, lo, hi, cfg=CFG),
+        lambda: weyl_right(np.sin, 0.5, lo, hi, cfg=CFG),
+        lambda: dl_dr_integral(np.sin, np.cos, 0.5, lo, hi),
+    ]
+    for op in ops:
+        with pytest.raises(ValueError, match="finite"):
+            op()
+
+
 def test_dl_dr_requires_admissible_orders():
     with pytest.raises(ValueError):
         dl_dr_integral(np.sin, np.cos, 0.5, 0.0, 1.0, mu_f=0.4, beta_g=1.0)

@@ -88,6 +88,8 @@ def test_separable_media_take_the_grid_route():
     quad = dl_dr_integral(lambda t: h(phi(t)), g, reg.alpha, 0.1, 0.9, cfg=cfg)
     assert (rep.value, rep.error_estimate, rep.converged) == (quad.value, quad.error_estimate, quad.converged)
     assert rep.params["grid_cells"] == cfg.grid_cells() == 4096
+    # only n_outer, through grid_cells, shapes the grid route
+    assert "n_nodes" not in rep.params and "n_triple" not in rep.params
     ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)
     grid = GridField(ts, xs, ts[:, None] * xs[None, :])
     assert "grid_cells" not in integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False).params
@@ -242,9 +244,10 @@ def test_grid_field_end_to_end():
     ts = np.linspace(0.0, 1.0, 33)
     xs = np.linspace(-0.25, 1.25, 33)
     grid = GridField(ts, xs, ts[:, None] * xs[None, :])
-    cfg = QuadratureConfig(n_outer=256, n_triple=48)
+    cfg = QuadratureConfig(n_outer=256)
     rep = integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False)
     assert rep.value == pytest.approx(0.5, abs=1e-4)
+    assert (rep.params["n_nodes"], rep.params["n_outer"], rep.params["n_triple"]) == (4096, 256, 48)
     rs, _ = integrate_sewing(grid, ident, 0.0, 1.0)
     assert rs.value == pytest.approx(0.5, abs=1e-6)
 
@@ -391,7 +394,7 @@ def test_indefinite_time_only():
 
 def test_indefinite_linear_case():
     w = ProductField(ident, ident)
-    cfg = QuadratureConfig(n_nodes=1024, n_outer=256, n_triple=48)
+    cfg = QuadratureConfig(n_nodes=1024, n_outer=256)
     res = indefinite_integral(w, ident, SMOOTH, 0.0, 1.0, n_points=65, cfg=cfg)
     np.testing.assert_allclose(res.path.values, res.path.ts**2 / 2.0, atol=1e-5)
 

@@ -19,12 +19,16 @@ from nlyoung.quadrature import (
 
 def test_config_validation():
     bad = [
-        {"n_nodes": 4}, {"n_outer": -5}, {"n_triple": 0}, {"split_radius": 0.0},
+        {"n_nodes": 4}, {"n_outer": -5}, {"tail_floor": 0.0}, {"tail_floor": 1.0},
         {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
-        {"grading": 0.5}, {"grading": math.nan}, {"grading": math.inf},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
+            QuadratureConfig(**kwargs)
+    # not options: the mesh grading is fixed, the split radius a constant and
+    # the triple budget derived from n_outer
+    for kwargs in ({"grading": "auto"}, {"split_radius": 1.0 / 16.0}, {"n_triple": 48}):
+        with pytest.raises(TypeError):
             QuadratureConfig(**kwargs)
 
 
@@ -32,6 +36,12 @@ def test_config_validation():
 def test_grid_cells_from_budget(n_outer, cells):
     # N = n_outer^2 / 16 rounded down to a multiple of 8, so N/4 is even
     assert QuadratureConfig(n_outer=n_outer).grid_cells() == cells
+
+
+@pytest.mark.parametrize("n_outer,cells", [(512, 96), (256, 48), (96, 24), (8, 24)])
+def test_triple_cells_from_budget(n_outer, cells):
+    # the budgets callers used to set by hand: 96/512 (default), 48/256, 24/96
+    assert QuadratureConfig(n_outer=n_outer).triple_cells() == cells
 
 
 def test_power_cells_closed_forms():
@@ -99,7 +109,7 @@ def test_singular_sum_rejects_divergent_tail():
 
 def test_two_sided_cells_beta_integral():
     # int_0^1 t^(-1/2) (1-t)^(-1/3) dt = B(1/2, 2/3)
-    w, t, da, db = two_sided_cells(0.0, 1.0, -0.5, -1.0 / 3.0, 512, 1e-12)
+    w, t, da, db = two_sided_cells(0.0, 1.0, -0.5, -1.0 / 3.0, 512)
     beta = math.gamma(0.5) * math.gamma(2.0 / 3.0) / math.gamma(0.5 + 2.0 / 3.0)
     assert float(np.sum(w)) == pytest.approx(beta, rel=1e-5)
     np.testing.assert_allclose(da + db, 1.0, atol=1e-12)

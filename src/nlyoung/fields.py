@@ -1,19 +1,22 @@
 """Two-parameter media W(t, x): evaluation and cancellation-safe increments.
 
-Everything downstream consumes fields through three calls:
+Besides eval(t, x), a medium offers three increment calls:
 
-    eval(t, x)
     increment_t(s, t, x)        = W(t, x) - W(s, x)
+    increment_x(t, x, y)        = W(t, y) - W(t, x)
     increment_rect(s, t, x, y)  = W(s, x) - W(t, x) - W(s, y) + W(t, y)
 
 The singular kernels divide these increments by powers of |t - s| and |x - y|,
 so subclasses arrange the arithmetic to preserve their smallness (factored
 products, nodal second differences) instead of subtracting four large values.
 
-Separable media W(t, x) = g(t) h(x) also expose their factors through
-time_space_factors(); the consumers that exploit separability (the
-fractional route, as int h(phi) dg, and the sewing sums) read g and h from
-there instead of going through the increment calls.
+Media that are finite sums of products W(t, x) = sum_k g_k(t) h_k(x) also
+list their terms through separable_terms(): a product has one term, sums and
+differences concatenate their parts' terms, and a grid expands exactly into
+its interpolated columns times the hats of its x nodes.  The fractional route
+(as int h(phi) dg) and the sewing sums read a single term from there.  The
+field seminorm reads every term, so its probes are matrix products of the
+terms' increments and never go through the increment calls.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathLike, make_function, parse_descriptor, path_diff
+from .fraccalc import _require_interval
+from .paths import PathLike, SampledPath, make_function, parse_descriptor, path_diff
 
 __all__ = [
     "Field",
@@ -114,10 +118,10 @@ class Field:
         """W(s,x) - W(t,x) - W(s,y) + W(t,y)."""
         return self.increment_t(t, s, x) - self.increment_t(t, s, y)
 
-    def time_space_factors(self):
-        """For separable media W(t,x) = g(t) h(x): the pair (g, h), else None.
+    def separable_terms(self):
+        """The terms (g_k, h_k) of W(t, x) = sum_k g_k(t) h_k(x), else None.
 
-        Separability turns the nonlinear integral into the Young integral
+        A single term turns the nonlinear integral into the Young integral
         int h(phi) dg, which the evaluators exploit.
         """
         return None
@@ -145,8 +149,8 @@ class ProductField(Field):
     def increment_rect(self, s, t, x, y):
         return path_diff(self.g, s, t) * path_diff(self.h, x, y)
 
-    def time_space_factors(self):
-        return self.g, self.h
+    def separable_terms(self):
+        return [(self.g, self.h)]
 
 
 class SumField(Field):
@@ -166,6 +170,24 @@ class SumField(Field):
 
     def increment_rect(self, s, t, x, y):
         return self.a.increment_rect(s, t, x, y) + self.b.increment_rect(s, t, x, y)
+
+    def separable_terms(self):
+        ta, tb = self.a.separable_terms(), self.b.separable_terms()
+        if ta is None or tb is None:
+            return None
+        return ta + tb
+
+
+class _Negated:
+    """x -> -h(x), keeping h's cancellation-safe diff when it has one."""
+
+    def __init__(self, h: PathLike) -> None:
+        self.h = h
+        if hasattr(h, "diff"):
+            self.diff = lambda t, s: -h.diff(t, s)
+
+    def __call__(self, x):
+        return -self.h(x)
 
 
 class DifferenceField(Field):
@@ -188,6 +210,12 @@ class DifferenceField(Field):
     def increment_rect(self, s, t, x, y):
         return self.a.increment_rect(s, t, x, y) - self.b.increment_rect(s, t, x, y)
 
+    def separable_terms(self):
+        ta, tb = self.a.separable_terms(), self.b.separable_terms()
+        if ta is None or tb is None:
+            return None
+        return ta + [(g, _Negated(h)) for g, h in tb]
+
 
 class GridField(Field):
     """Bilinear interpolation of nodal values W(ts[i], xs[j]).
@@ -203,6 +231,8 @@ class GridField(Field):
         self.values = np.asarray(values, dtype=float)
         if self.ts.ndim != 1 or self.xs.ndim != 1:
             raise ValueError("ts and xs must be one-dimensional")
+        if self.ts.size < 2 or self.xs.size < 2:
+            raise ValueError("grid axes need at least two nodes each")
         if self.values.shape != (self.ts.size, self.xs.size):
             raise ValueError("values must have shape (len(ts), len(xs))")
         if not (np.all(np.diff(self.ts) > 0) and np.all(np.diff(self.xs) > 0)):
@@ -316,6 +346,14 @@ class GridField(Field):
         out = np.where(it == is_, local, cross)
         return out if out.ndim else float(out)
 
+    def separable_terms(self):
+        """Column k interpolated in t times the hat at xs[k]: bilinear exactly."""
+        hats = np.eye(self.xs.size)
+        return [
+            (SampledPath(self.ts, self.values[:, k]), SampledPath(self.xs, hats[k]))
+            for k in range(self.xs.size)
+        ]
+
 
 # ---------------------------------------------------------------------------
 # field seminorm estimation
@@ -345,6 +383,7 @@ class FieldHolderReport:
 _N_COARSE = 40
 _N_FINE = 384
 _MAX_LAG = 16
+_BLOCK = 2_000_000  # entries per block of a probe-term product
 
 
 def _axis_pairs(lo: float, hi: float):
@@ -361,6 +400,20 @@ def _axis_pairs(lo: float, hi: float):
     return np.concatenate(s), np.concatenate(t)
 
 
+def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
+    """max |left @ right|, in row blocks of at most _BLOCK entries.
+
+    With one inner term the product is an outer product, whose largest
+    entry is the product of the two largest factors.
+    """
+    if left.shape[1] == 1:
+        return float(np.max(np.abs(left))) * float(np.max(np.abs(right)))
+    rows = max(1, _BLOCK // right.shape[1])
+    return float(np.max([
+        np.max(np.abs(left[i:i + rows] @ right)) for i in range(0, left.shape[0], rows)
+    ]))
+
+
 def holder_seminorm_field(
     w: Field,
     reg: Regularity,
@@ -370,12 +423,23 @@ def holder_seminorm_field(
 ) -> FieldHolderReport:
     """Probe-grid estimates of the rectangular, time and space seminorm terms.
 
-    The rectangular term is evaluated through increment_rect only (never as
-    four point evaluations); like the path seminorm these are sups over a
-    finite deterministic probe family, hence lower bounds.
+    The medium enters through its separable terms W = sum_k g_k(t) h_k(x):
+    with dG[p, k] = (g_k(t_p) - g_k(s_p)) / (t_p - s_p)^tau over the time
+    pairs and dH[k, q] = (h_k(y_q) - h_k(x_q)) / (y_q - x_q)^lam over the
+    space pairs, the rectangle term is max |dG @ dH|, the time term
+    max |dG @ H| and the space term max |G @ dH|, where G and H hold the
+    terms at the time and space probes.  Increments go through path_diff, so
+    sampled terms keep their cancellation.  Like the path seminorm these are
+    sups over a finite deterministic probe family, hence lower bounds.
     """
-    if a >= b or box[0] >= box[1]:
-        raise ValueError("need a < b and a nonempty spatial box")
+    _require_interval(a, b)
+    _require_interval(box[0], box[1], ("box lo", "box hi"))
+    terms = w.separable_terms()
+    if terms is None:
+        raise ValueError(
+            f"medium {w.descriptor!r} has no separable expansion; "
+            "sample it into a GridField to estimate its seminorm"
+        )
     ts_s, ts_t = _axis_pairs(a, b)
     xs_s, xs_t = _axis_pairs(box[0], box[1])
     t_probe = np.linspace(a, b, _N_COARSE + 1)
@@ -383,24 +447,14 @@ def holder_seminorm_field(
 
     dt_pow = (ts_t - ts_s) ** reg.tau
     dx_pow = (xs_t - xs_s) ** reg.lam
+    d_g = np.column_stack([path_diff(g, ts_t, ts_s) / dt_pow for g, _ in terms])
+    g_probe = np.column_stack([np.broadcast_to(g(t_probe), t_probe.shape) for g, _ in terms])
+    d_h = np.vstack([path_diff(h, xs_t, xs_s) / dx_pow for _, h in terms])
+    h_probe = np.vstack([np.broadcast_to(h(x_probe), x_probe.shape) for _, h in terms])
 
-    # all probes in one call each: (pairs, 1) against (1, probes)
-    time_term = float(
-        np.max(np.abs(w.increment_t(ts_s[:, None], ts_t[:, None], x_probe)) / dt_pow[:, None])
-    )
-    space_term = float(
-        np.max(np.abs(w.increment_x(t_probe, xs_s[:, None], xs_t[:, None])) / dx_pow[:, None])
-    )
-
-    rect_term = 0.0
-    chunk = max(1, 2_000_000 // max(1, xs_s.size))
-    for lo in range(0, ts_s.size, chunk):
-        sl = slice(lo, lo + chunk)
-        r = w.increment_rect(
-            ts_s[sl][:, None], ts_t[sl][:, None], xs_s[None, :], xs_t[None, :]
-        )
-        ratios = np.abs(r) / (dt_pow[sl][:, None] * dx_pow[None, :])
-        rect_term = max(rect_term, float(np.max(ratios)))
+    rect_term = _max_abs_product(d_g, d_h)
+    time_term = _max_abs_product(d_g, h_probe)
+    space_term = _max_abs_product(g_probe, d_h)
 
     n_pairs = int(
         ts_s.size * xs_s.size

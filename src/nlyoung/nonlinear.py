@@ -220,11 +220,12 @@ def integrate_fractional(
 ) -> IntegralReport:
     """int_a^b W(dt, phi_t) by the four-term fractional expansion.
 
-    Separable media go to dl_dr_integral on params["grid_cells"] cells.
-    Otherwise each term is Richardson-refined over three resolutions and the
-    error_estimate sums the per-term extrapolation corrections.  The
-    bound_ratios["holder"] entry divides |value| by the estimated right side
-    of the a-priori bound  ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
+    Media with a single separable term W = g(t) h(x) go to dl_dr_integral on
+    params["grid_cells"] cells.  Otherwise each term is Richardson-refined
+    over three resolutions and the error_estimate sums the per-term
+    extrapolation corrections.  The bound_ratios["holder"] entry divides
+    |value| by the estimated right side of the a-priori bound
+    ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
     """
     cfg = cfg or QuadratureConfig()
     _require_interval(a, b)
@@ -240,9 +241,9 @@ def integrate_fractional(
         "n_outer": cfg.n_outer,
     }
 
-    factors = w.time_space_factors()
-    if factors is not None:
-        g, h = factors
+    terms = w.separable_terms()
+    if terms is not None and len(terms) == 1:
+        (g, h), = terms
         combined = dl_dr_integral(lambda t: h(phi(t)), g, alpha, a, b,
                                   mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg)
         params["grid_cells"] = cfg.grid_cells()
@@ -361,17 +362,19 @@ def integrate_sewing(
     extrapolation of the last three sums at the observed order, falling back
     to the finest sum when the order estimate is unstable.
 
-    Separable media W = g(t) h(x) whose g has no `diff` (so g increments are
-    plain differences) reuse the nodes of the coarser partitions: g, phi and
-    h are evaluated at 2^L + 1 points in all for L = levels_used.  Every
-    other medium (grids, sums, differences, diagonal media, products with a
-    sampled g) calls the germ on all 2^k + 1 nodes of every level.
+    Media with a single separable term W = g(t) h(x) whose g has no `diff`
+    (so g increments are plain differences) reuse the nodes of the coarser
+    partitions: g, phi and h are evaluated at 2^L + 1 points in all for
+    L = levels_used.  Every other medium (grids, sums, differences, diagonal
+    media, products with a sampled g) calls the germ on all 2^k + 1 nodes of
+    every level.
     """
     _require_interval(a, b)
     t0 = time.perf_counter()
-    factors = w.time_space_factors()
-    if factors is not None and not hasattr(factors[0], "diff"):
-        level_sums = _separable_sums(factors[0], factors[1], phi, float(a), float(b))
+    terms = w.separable_terms()
+    if terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"):
+        (g, h), = terms
+        level_sums = _separable_sums(g, h, phi, float(a), float(b))
     else:
         level_sums = _germ_sums(w, phi, a, b)
     sums: list[float] = []
@@ -652,8 +655,8 @@ def stability_in_path(
     lhs = abs(r1.value - r2.value)
     ts = np.linspace(u, v, 2049)
     supdiff = float(np.max(np.abs(np.asarray(phi1(ts)) - np.asarray(phi2(ts)))))
-    lo = min(_phi_box(phi1, u, v)[0], _phi_box(phi2, u, v)[0])
-    hi = max(_phi_box(phi1, u, v)[1], _phi_box(phi2, u, v)[1])
+    box1, box2 = _phi_box(phi1, u, v), _phi_box(phi2, u, v)
+    lo, hi = min(box1[0], box2[0]), max(box1[1], box2[1])
     bracket = holder_seminorm_field(w, reg, u, v, (lo, hi)).bracket
     n1 = holder_seminorm_path(_as_sampled(phi1, u, v), reg.gamma, u, v).seminorm
     n2 = holder_seminorm_path(_as_sampled(phi2, u, v), reg.gamma, u, v).seminorm

@@ -279,6 +279,8 @@ def test_bad_quad_option_exit_2(capsys, quad):
 
 _PRODUCT = "product:g=(identity),h=(const:c=1)"
 _ITERATE = ["iterate", "--rho", "const:c=1", "--a", "0", "--tau", "1", "--lambda", "1"]
+_HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=(identity)",
+                 "--tau", "0.6", "--lambda", "1"]
 
 
 @pytest.mark.parametrize(
@@ -300,11 +302,16 @@ _ITERATE = ["iterate", "--rho", "const:c=1", "--a", "0", "--tau", "1", "--lambda
         ["young", "--f", "no-such-file.csv", "--g", "identity", "--a", "0", "--b", "1"],
         ["frac", "--op", "dleft", "--f", "sin", "--alpha", "0.5", "--a", "nan", "--t", "1"],
         ["frac", "--op", "iright", "--f", "sin", "--alpha", "0.5", "--t", "0", "--b", "inf"],
+        _HOLDER_FIELD + ["--a", "nan", "--b", "1"],
+        _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "nan,1"],
+        _HOLDER_FIELD + ["--a", "0", "--b", "inf"],
+        _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "0,inf"],
     ],
     ids=[
         "young-f", "frac-f", "iterate-fields", "indefinite-field", "holder-path",
         "young-reversed", "young-b-nan", "holder-b-nan", "iterate-b-nan", "bounds-b-nan",
         "iterate-unbalanced", "young-missing-csv", "frac-dleft-a-nan", "frac-iright-b-inf",
+        "holder-field-a-nan", "holder-field-box-nan", "holder-field-b-inf", "holder-field-box-inf",
     ],
 )
 def test_bad_input_exit_2(capsys, tmp_path, monkeypatch, argv):

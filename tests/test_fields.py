@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlyoung.fields import (
     DifferenceField,
@@ -95,6 +98,8 @@ def test_grid_field_validation():
         GridField([0.0, 1.0], [0.0, 1.0], [[1.0, 2.0]])
     with pytest.raises(ValueError):
         GridField([0.0, 0.0], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="two nodes"):
+        GridField([0.0, 1.0], [0.5], [[1.0], [2.0]])
 
 
 def test_grid_field_matches_bilinear_data():
@@ -194,6 +199,102 @@ def _looped_time_space_terms(w, reg, a, b, box):
     return time_term, space_term
 
 
+def _increment_seminorm_terms(w, reg, a, b, box):
+    """The three seminorm terms through the increment calls: the reference
+    for the separable-term products of holder_seminorm_field."""
+    from nlyoung.fields import _N_COARSE, _axis_pairs
+
+    ts_s, ts_t = _axis_pairs(a, b)
+    xs_s, xs_t = _axis_pairs(box[0], box[1])
+    t_probe = np.linspace(a, b, _N_COARSE + 1)
+    x_probe = np.linspace(box[0], box[1], _N_COARSE + 1)
+    dt_pow = (ts_t - ts_s) ** reg.tau
+    dx_pow = (xs_t - xs_s) ** reg.lam
+    time_term = float(
+        np.max(np.abs(w.increment_t(ts_s[:, None], ts_t[:, None], x_probe)) / dt_pow[:, None])
+    )
+    space_term = float(
+        np.max(np.abs(w.increment_x(t_probe, xs_s[:, None], xs_t[:, None])) / dx_pow[:, None])
+    )
+    rect_term = 0.0
+    chunk = max(1, 250_000 // xs_s.size)
+    for lo in range(0, ts_s.size, chunk):
+        sl = slice(lo, lo + chunk)
+        r = w.increment_rect(ts_s[sl][:, None], ts_t[sl][:, None], xs_s[None, :], xs_t[None, :])
+        ratios = np.abs(r) / (dt_pow[sl][:, None] * dx_pow[None, :])
+        rect_term = max(rect_term, float(np.max(ratios)))
+    n_pairs = ts_s.size * xs_s.size + ts_s.size * x_probe.size + xs_s.size * t_probe.size
+    return rect_term, time_term, space_term, n_pairs
+
+
+def _seminorm_media():
+    rng = np.random.RandomState(11)
+    product = ProductField(
+        make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 6.0, 12))),
+        make_weierstrass(0.8, 10, phases=list(rng.uniform(0.0, 6.0, 10))),
+    )
+    small = GridField(np.linspace(0.0, 1.0, 65), np.linspace(-1.0, 1.0, 33), rng.randn(65, 33))
+    large = GridField(np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 65), rng.randn(257, 65))
+    return {
+        "product": product,
+        "grid-65x33": small,
+        "grid-257x65": large,
+        "sum": SumField(product, small),
+        "difference": DifferenceField(product, small),
+    }
+
+
+_MEDIA = _seminorm_media()
+
+
+@pytest.mark.parametrize("name", sorted(_MEDIA))
+def test_field_seminorm_matches_increment_oracle(name):
+    w = _MEDIA[name]
+    reg = Regularity(0.6, 0.8, 0.7)
+    rep = holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
+    rect, time, space, n_pairs = _increment_seminorm_terms(w, reg, 0.0, 1.0, (-1.0, 1.0))
+    assert rep.rect_term == pytest.approx(rect, rel=1e-13)
+    assert rep.time_term == pytest.approx(time, rel=1e-13)
+    assert rep.space_term == pytest.approx(space, rel=1e-13)
+    assert rep.n_pairs_checked == n_pairs
+
+
+@pytest.mark.parametrize("name", ["product", "grid-257x65"])
+def test_field_seminorm_of_self_difference_vanishes(name):
+    w = _MEDIA[name]
+    reg = Regularity(0.6, 0.8, 0.7)
+    rep = holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
+    zero = holder_seminorm_field(DifferenceField(w, w), reg, 0.0, 1.0, (-1.0, 1.0))
+    assert zero.rect_term <= 1e-13 * rep.rect_term
+    assert zero.time_term <= 1e-13 * rep.time_term
+    assert zero.space_term <= 1e-13 * rep.space_term
+
+
+def test_field_seminorm_memory_on_large_grid():
+    w = _MEDIA["grid-257x65"]
+    reg = Regularity(0.6, 0.8, 0.7)
+    tracemalloc.start()
+    try:
+        holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(sorted(_MEDIA)),
+    t=st.floats(0.0, 1.0),
+    x=st.floats(-1.0, 1.0),
+)
+def test_separable_terms_reproduce_eval(name, t, x):
+    w = _MEDIA[name]
+    expanded = sum(float(g(np.array(t))) * float(h(np.array(x))) for g, h in w.separable_terms())
+    direct = float(w.eval(t, x))
+    assert abs(expanded - direct) <= 1e-13 * max(1.0, abs(direct))
+
+
 def test_field_seminorm_broadcast_probes_match_loop():
     rng = np.random.RandomState(2)
     product = ProductField(
@@ -204,16 +305,27 @@ def test_field_seminorm_broadcast_probes_match_loop():
     reg = Regularity(0.6, 0.8, 0.7)
     for w in (product, grid):
         rep = holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
-        assert (rep.time_term, rep.space_term) == _looped_time_space_terms(
-            w, reg, 0.0, 1.0, (-1.0, 1.0)
+        assert (rep.time_term, rep.space_term) == pytest.approx(
+            _looped_time_space_terms(w, reg, 0.0, 1.0, (-1.0, 1.0)), rel=1e-13
         )
 
 
 def test_field_seminorm_probe_grid_errors():
+    from nlyoung.iterated import DiagonalField
+
     w = ProductField(ident, ident)
     reg = Regularity(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         holder_seminorm_field(w, reg, 0.0, 1.0, (1.0, 0.0))
+    for a, b, box in [(np.nan, 1.0, (0.0, 1.0)), (0.0, np.inf, (0.0, 1.0)),
+                      (0.0, 1.0, (np.nan, 1.0)), (0.0, 1.0, (0.0, np.inf))]:
+        with pytest.raises(ValueError, match="need finite"):
+            holder_seminorm_field(w, reg, a, b, box)
+    grid = _sampled_grid(lambda t, x: t * x)
+    with pytest.raises(ValueError, match="outside"):
+        holder_seminorm_field(grid, reg, 0.0, 1.0, (-0.5, 1.0))
+    with pytest.raises(ValueError, match="GridField"):
+        holder_seminorm_field(DiagonalField(w, ident), reg, 0.0, 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ products, nodal second differences) instead of subtracting four large values.
 
 Media that are finite sums of products W(t, x) = sum_k g_k(t) h_k(x) also
 list their terms through separable_terms(): a product has one term, sums and
-differences concatenate their parts' terms, and a grid expands exactly into
-its interpolated columns times the hats of its x nodes.  The fractional route
-(as int h(phi) dg) and the sewing sums read a single term from there.  The
-field seminorm reads every term, so its probes are matrix products of the
-terms' increments and never go through the increment calls.
+differences concatenate their parts' terms, a diagonal medium weights each
+term of its base by the density, and a grid expands exactly into its
+interpolated columns times the hats of its x nodes.  The four-term fractional
+expansion of int W(dt, phi_t) is linear in W, so the fractional route
+computes it as sum_k int h_k(phi) dg_k over these terms; the sewing sums
+reuse nodes for a single term.  The field seminorm reads every term, so its
+probes are matrix products of the terms' increments and never go through the
+increment calls.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ class Field:
     def separable_terms(self):
         """The terms (g_k, h_k) of W(t, x) = sum_k g_k(t) h_k(x), else None.
 
-        A single term turns the nonlinear integral into the Young integral
-        int h(phi) dg, which the evaluators exploit.
+        The nonlinear integral is then sum_k int h_k(phi) dg_k, which the
+        fractional route evaluates; a medium without terms must be sampled
+        into a GridField first.
         """
         return None
 

@@ -184,6 +184,10 @@ def dl_dr_integral(
     of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
     at the scheme's error order min(2-gam, 1+gam).  Requires mu_f > gam and
     beta_g > 1 - gam for the inner integrals to converge.
+
+    f and g may also return K rows of N + 1 samples each; the result is then
+    sum_k int f_k dg_k, with the rows' integrands summed at the nodes before
+    the outer sum and the one extrapolation.
     """
     cfg = cfg or QuadratureConfig()
     if not 0.0 < gam < 1.0:
@@ -202,11 +206,16 @@ def dl_dr_integral(
     pref = -1.0 / (gamma(1.0 - gam) * gamma(gam))
 
     def evaluate(n: int) -> float:
-        fn, gn = fv[:: big_n // n], gv[:: big_n // n]
+        fn, gn = fv[..., :: big_n // n], gv[..., :: big_n // n]
         j = np.arange(n + 1.0)
-        dl_hat = fn + gam * j**gam * marchaud_conv(fn, *w_left)  # (t-a)^gam Gamma(1-gam) DL f
-        dr_hat = (gn - gn[-1]) + (1.0 - gam) * j[::-1] ** (1.0 - gam) * marchaud_conv(gn[::-1], *w_right)[::-1]
-        return pref * two_sided_grid_sum(dl_hat * dr_hat, -gam, gam - 1.0, w_a, w_b)
+        dl_hat = marchaud_conv(fn, *w_left)  # becomes (t-a)^gam Gamma(1-gam) DL f
+        dl_hat *= gam * j**gam
+        dl_hat += fn
+        dr_hat = marchaud_conv(gn[..., ::-1], *w_right)[..., ::-1]
+        dr_hat *= (1.0 - gam) * j[::-1] ** (1.0 - gam)
+        dr_hat += gn - gn[..., -1:]
+        dl_hat *= dr_hat
+        return pref * two_sided_grid_sum(dl_hat.reshape(-1, n + 1).sum(axis=0), -gam, gam - 1.0, w_a, w_b)
 
     return refine_levels(evaluate, big_n, cfg.tol, order=min(2.0 - gam, 1.0 + gam))
 

@@ -59,12 +59,29 @@ class JointField:
     lam: float
 
 
+class _Weighted:
+    """x -> density(x) h(x), differenced like DiagonalField.increment_x."""
+
+    def __init__(self, density, h) -> None:
+        self.density = density
+        self.h = h
+
+    def __call__(self, x):
+        return np.asarray(self.density(x)) * self.h(x)
+
+    def diff(self, y, x):
+        return np.asarray(self.density(x)) * path_diff(self.h, y, x) + np.asarray(
+            path_diff(self.density, y, x)
+        ) * self.h(y)
+
+
 class DiagonalField(Field):
     """G(s, t) = density(t) * F(s, t), the weighted medium of a diagonal integral.
 
     Rectangular increments split into density * F-rectangle plus
     density-difference * F-time-increment, so each factor keeps its own
-    Holder smallness.
+    Holder smallness.  Each separable term (g, h) of F gives the term
+    (g, density * h) of G, whose h-differences split the same way.
     """
 
     def __init__(self, base: Field, density) -> None:
@@ -89,6 +106,12 @@ class DiagonalField(Field):
         return np.asarray(self.density(x)) * self.base.increment_rect(
             s, t, x, y
         ) + np.asarray(path_diff(self.density, x, y)) * self.base.increment_t(t, s, y)
+
+    def separable_terms(self):
+        terms = self.base.separable_terms()
+        if terms is None:
+            return None
+        return [(g, _Weighted(self.density, h)) for g, h in terms]
 
 
 @dataclass(frozen=True)
@@ -218,7 +241,8 @@ def iterated_integral(
     power of two) from cumulative germ sums on a finer dyadic grid; stage
     k+1 consumes stage k through linear interpolation.  method selects how
     the final value is produced: "sewing" reads the last stage path at b,
-    "fractional" re-evaluates the last stage with the four-term formula.
+    "fractional" re-evaluates the last stage with the four-term formula
+    (integrate_fractional, through the medium's separable terms).
     variant="spatial" switches to the composed-argument recursion (see module
     doc).
     """

@@ -9,13 +9,15 @@ The fractional route evaluates the four-term expansion
     I3 = int int_t^b  [W(t,phi_t) - W(s,phi_t)] (s-t)^(al-2) (t-a)^(-al) ds dt
     I4 = int int_a^t int_t^b  [rectangular increment] (s-t)^(al-2) (t-r)^(-al-1) ds dr dt
 
-with W_{b-}(t,x) = W(t,x) - W(b,x).  For W = g(t) h(x) they sum to the
-fractional Young form of int h(phi) dg (Zahle 1998), fraccalc.dl_dr_integral.
-Otherwise every bracket is evaluated through the field's increment calls so
-the Holder smallness survives in floats.  The
-sewing route sums the germ mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic
-partitions and Richardson-extrapolates the limit.  Both require the declared
-exponents to satisfy tau + lam*gamma > 1, with the fractional order alpha in
+with W_{b-}(t,x) = W(t,x) - W(b,x).  The expansion is linear in W, and for
+W = g(t) h(x) it is the fractional Young form of int h(phi) dg (Zahle 1998).
+Every medium the package builds is a finite sum W = sum_k g_k(t) h_k(x)
+(Field.separable_terms), so the four terms are computed as
+sum_k int h_k(phi) dg_k by one call of fraccalc.dl_dr_integral on the
+stacked terms.  The sewing route sums the germ
+mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic partitions and
+Richardson-extrapolates the limit.  Both require the declared exponents to
+satisfy tau + lam*gamma > 1, with the fractional order alpha in
 (1 - tau, lam*gamma); the value does not depend on the admissible alpha.
 """
 
@@ -43,13 +45,10 @@ from .paths import (
     sample_function,
 )
 from .quadrature import (
-    SPLIT_RADIUS,
     QuadratureConfig,
-    combine_results,
-    refine_levels,
-    singular_cells,
-    singular_sum,
-    two_sided_cells,
+    refine_levels,  # unused here, but perfbench/spans.py wraps it in this module
+    singular_cells,  # likewise
+    two_sided_cells,  # likewise
 )
 from .regression import lag_scaling_slope
 
@@ -148,66 +147,6 @@ def estimate_norms(w: Field, phi, reg: Regularity, a: float, b: float) -> NormEs
     return NormEstimates(fr, pr, box)
 
 
-# ---------------------------------------------------------------------------
-# the four terms
-
-
-def _term_i1(w, phi, alpha, a, b, n, cfg):
-    wts, ts, _, _ = two_sided_cells(a, b, -alpha, alpha - 1.0, n)
-    vals = -w.increment_t(ts, b, phi(ts))  # W_{b-}(t, phi_t)
-    return float(wts @ np.asarray(vals, dtype=float))
-
-
-def _term_i2(w, phi, alpha, a, b, n, cfg):
-    wts, ts, length, _ = two_sided_cells(a, b, 0.0, alpha - 1.0, n)
-    phis = np.asarray(phi(ts), dtype=float)
-    m_ref, c_ref = singular_cells(1.0, -alpha - 1.0, n, cfg.tail_floor, 1.0, SPLIT_RADIUS)
-    r = ts[:, None] - length[:, None] * c_ref[None, :]
-    rect = np.asarray(
-        w.increment_rect(ts[:, None], b, phis[:, None], np.asarray(phi(r), dtype=float)),
-        dtype=float,
-    )
-    return float(wts @ singular_sum(rect, length, m_ref, c_ref, cfg.tail_floor, -alpha - 1.0))
-
-
-def _term_i3(w, phi, alpha, a, b, n, cfg):
-    wts, ts, _, length = two_sided_cells(a, b, -alpha, 0.0, n)
-    m_ref, c_ref = singular_cells(1.0, alpha - 2.0, n, cfg.tail_floor, 1.0, SPLIT_RADIUS)
-    phis = np.asarray(phi(ts), dtype=float)
-    s = ts[:, None] + length[:, None] * c_ref[None, :]
-    diff = np.asarray(w.increment_t(s, ts[:, None], phis[:, None]), dtype=float)
-    return float(wts @ singular_sum(diff, length, m_ref, c_ref, cfg.tail_floor, alpha - 2.0))
-
-
-def _term_i4(w, phi, alpha, a, b, n, cfg):
-    floor = cfg.tail_floor
-    wts, ts, dist_a, dist_b = two_sided_cells(a, b, 0.0, 0.0, n)
-    m_r, c_r = singular_cells(1.0, -alpha - 1.0, n, floor, 1.0, SPLIT_RADIUS)
-    m_s, c_s = singular_cells(1.0, alpha - 2.0, n, floor, 1.0, SPLIT_RADIUS)
-    phis = np.asarray(phi(ts), dtype=float)
-    total = 0.0
-    chunk = max(1, 2_000_000 // (m_r.size * m_s.size))
-    for lo in range(0, ts.size, chunk):
-        sl = slice(lo, min(lo + chunk, ts.size))
-        t = ts[sl]
-        len_r = dist_a[sl]
-        len_s = dist_b[sl]
-        x = phis[sl]
-        r = t[:, None] - len_r[:, None] * c_r[None, :]
-        s = t[:, None] + len_s[:, None] * c_s[None, :]
-        phir = np.asarray(phi(r), dtype=float)
-        rect = np.asarray(
-            w.increment_rect(
-                t[:, None, None], s[:, None, :], x[:, None, None], phir[:, :, None]
-            ),
-            dtype=float,
-        )
-        inner_s = singular_sum(rect, len_s[:, None], m_s, c_s, floor, alpha - 2.0)
-        inner_r = singular_sum(inner_s, len_r, m_r, c_r, floor, -alpha - 1.0)
-        total += float(wts[sl] @ inner_r)
-    return total
-
-
 def integrate_fractional(
     w: Field,
     phi,
@@ -220,18 +159,24 @@ def integrate_fractional(
 ) -> IntegralReport:
     """int_a^b W(dt, phi_t) by the four-term fractional expansion.
 
-    Media with a single separable term W = g(t) h(x) go to dl_dr_integral on
-    params["grid_cells"] cells.  Otherwise each term is Richardson-refined
-    over three resolutions and the error_estimate sums the per-term
-    extrapolation corrections.  The bound_ratios["holder"] entry divides
-    |value| by the estimated right side of the a-priori bound
+    The expansion is linear in W, so for W = sum_k g_k(t) h_k(x) it is
+    sum_k int h_k(phi) dg_k, each term the fractional Young form.  phi is
+    sampled once and dl_dr_integral runs on the stacked rows h_k(phi) and g_k
+    over params["grid_cells"] cells.  A medium without separable_terms()
+    raises ValueError; sample it into a GridField.  The bound_ratios["holder"]
+    entry divides |value| by the estimated right side of the a-priori bound
     ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
     """
     cfg = cfg or QuadratureConfig()
     _require_interval(a, b)
     reg.require_admissible()
-    alpha = reg.alpha
     t0 = time.perf_counter()
+    terms = w.separable_terms()
+    if terms is None:
+        raise ValueError(
+            f"medium {w.descriptor!r} has no separable expansion; "
+            "sample it into a GridField to integrate it"
+        )
     params = {
         "a": a,
         "b": b,
@@ -239,25 +184,21 @@ def integrate_fractional(
         "lam": reg.lam,
         "gamma": reg.gamma,
         "n_outer": cfg.n_outer,
+        "grid_cells": cfg.grid_cells(),
     }
+    g_terms, h_terms = zip(*terms)
 
-    terms = w.separable_terms()
-    if terms is not None and len(terms) == 1:
-        (g, h), = terms
-        combined = dl_dr_integral(lambda t: h(phi(t)), g, alpha, a, b,
-                                  mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg)
-        params["grid_cells"] = cfg.grid_cells()
-    else:
-        params.update(n_nodes=cfg.n_nodes, n_triple=cfg.triple_cells())
-        r1 = refine_levels(lambda n: _term_i1(w, phi, alpha, a, b, n, cfg), cfg.n_nodes, cfg.tol)
-        r2 = refine_levels(lambda n: _term_i2(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
-        r3 = refine_levels(lambda n: _term_i3(w, phi, alpha, a, b, n, cfg), cfg.n_outer, cfg.tol)
-        r4 = refine_levels(lambda n: _term_i4(w, phi, alpha, a, b, n, cfg), cfg.triple_cells(), cfg.tol)
-        s = math.sin(math.pi * alpha) / math.pi  # 1/(Gamma(al) Gamma(1-al))
-        combined = combine_results(
-            [r1, r2, r3, r4],
-            [-s, -s * alpha, -s * (1.0 - alpha), -s * alpha * (1.0 - alpha)],
-        )
+    def rows(fns, x, size):
+        out = np.empty((len(fns), size))
+        for k, fn in enumerate(fns):
+            out[k] = fn(x)
+        return out
+
+    combined = dl_dr_integral(
+        lambda ts: rows(h_terms, phi(ts), ts.size),
+        lambda ts: rows(g_terms, ts, ts.size),
+        reg.alpha, a, b, mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg,
+    )
 
     bound_ratios: dict = {}
     if with_bounds:
@@ -275,7 +216,7 @@ def integrate_fractional(
         value=combined.value,
         method="fractional",
         error_estimate=combined.error_estimate,
-        alpha=alpha,
+        alpha=reg.alpha,
         bound_ratios=bound_ratios,
         runtime_ms=runtime_ms,
         converged=combined.converged,

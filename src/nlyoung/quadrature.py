@@ -17,14 +17,18 @@ power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
 a relative floor; `singular_sum` models the part below it (linearly in u).
 On the uniform grid G is piecewise linear and u^p is integrated exactly
 against each hat function (`hat_weights`), so the Marchaud sums at all nodes
-are one FFT convolution (`marchaud_conv`, after Lubich 1986).
+are one FFT convolution (`marchaud_conv`, after Lubich 1986).  The graded
+meshes serve the single-point operators (fractional integrals, Weyl
+derivatives); the uniform grid serves the Young integral and the nonlinear
+integral, whose four-term expansion is computed as sum_k int h_k(phi) dg_k
+over the medium's separable terms, with the terms as rows of one grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,12 +55,14 @@ SPLIT_RADIUS = 1.0 / 16.0
 class QuadratureConfig:
     """Resolution knobs for the singular quadrature.
 
-    n_nodes is the cell count per singular direction for one-dimensional
-    integrals and n_outer for the double integrals; the triple integral uses
-    triple_cells() and the uniform grid grid_cells() cells, both derived from
-    n_outer.  tail_floor is the relative scale below which differences are
-    modeled by the local power law instead of being evaluated, and tol the
-    relative node-doubling tolerance of the convergence flag.
+    n_nodes is the cell count per singular direction of the graded
+    one-dimensional integrals (fractional integrals, Weyl derivatives).
+    n_outer sets the uniform grid, grid_cells() cells, on which the Young
+    integral and the nonlinear integral's four-term expansion, computed as
+    sum_k int h_k(phi) dg_k, are evaluated.  tail_floor is the relative scale
+    below which differences are modeled by the local power law instead of
+    being evaluated, and tol the relative node-doubling tolerance of the
+    convergence flag.
     """
 
     n_nodes: int = 4096
@@ -72,10 +78,6 @@ class QuadratureConfig:
             raise ValueError("tail_floor must lie in (0, 1)")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-
-    def triple_cells(self) -> int:
-        """Cells per direction of the triple integral: 96 at n_outer 512, 48 at 256."""
-        return max(24, 3 * self.n_outer // 16)
 
     def grid_cells(self) -> int:
         """A uniform grid must resolve the finest scale everywhere: square the budget."""
@@ -269,14 +271,19 @@ def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def marchaud_conv(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int_0^j [v(j) - v(j-u)] u^p du at every node j = 0..n, by one FFT.
 
-    v interpolates values = v_0..v_n linearly between unit-spaced nodes and
+    v interpolates values = v_0..v_n (the last axis; leading axes are
+    independent rows) linearly between unit-spaced nodes and
     (lo, hi) = hat_weights(p, m > n).  With c_m = lo_m + hi_(m-1) the sum at
     j is sum_(m=1..j) c_m (v_j - v_(j-m)) - lo_j (v_j - v_0).
     """
-    n = values.size - 1
+    n = values.shape[-1] - 1
     c = lo[1 : n + 1] + hi[:n]
-    conv = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(values[:-1], 2 * n), 2 * n)[:n]
-    return np.concatenate([[0.0], values[1:] * np.cumsum(c) - conv - lo[1 : n + 1] * (values[1:] - values[0])])
+    conv = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(values[..., :-1], 2 * n), 2 * n)[..., :n]
+    out = np.zeros(values.shape)
+    np.multiply(values[..., 1:], np.cumsum(c), out=out[..., 1:])
+    out[..., 1:] -= conv
+    out[..., 1:] -= lo[1 : n + 1] * (values[..., 1:] - values[..., :1])
+    return out
 
 
 def two_sided_grid_sum(values: np.ndarray, p_a: float, p_b: float, w_a, w_b) -> float:
@@ -332,11 +339,3 @@ def refine_levels(
         value = vals[2]
         err = 1.5 * abs(d2)
     return QuadResult(value, err, converged, tuple(vals))
-
-
-def combine_results(results: Sequence[QuadResult], coeffs: Sequence[float]) -> QuadResult:
-    """Linear combination of QuadResults with summed error estimates."""
-    value = float(sum(c * r.value for c, r in zip(coeffs, results)))
-    err = float(sum(abs(c) * r.error_estimate for c, r in zip(coeffs, results)))
-    converged = all(r.converged for r in results)
-    return QuadResult(value, err, converged)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlyoung.fields import (
     DifferenceField,
+    Field,
     GridField,
     ProductField,
     Regularity,
@@ -16,7 +17,8 @@ from nlyoung.fields import (
     read_grid_json,
     write_grid_json,
 )
-from nlyoung.paths import make_function, make_weierstrass
+from nlyoung.iterated import DiagonalField
+from nlyoung.paths import make_function, make_weierstrass, sample_function
 
 ident = make_function("identity")
 one = make_function("const:c=1")
@@ -237,6 +239,7 @@ def _seminorm_media():
     large = GridField(np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 65), rng.randn(257, 65))
     return {
         "product": product,
+        "diagonal": DiagonalField(product, sample_function(np.cos, -1.0, 1.0, 256)),
         "grid-65x33": small,
         "grid-257x65": large,
         "sum": SumField(product, small),
@@ -310,9 +313,14 @@ def test_field_seminorm_broadcast_probes_match_loop():
         )
 
 
-def test_field_seminorm_probe_grid_errors():
-    from nlyoung.iterated import DiagonalField
+class _BareField(Field):
+    """A medium given only by eval: no separable expansion."""
 
+    def eval(self, t, x):
+        return np.sin(np.asarray(t) * np.asarray(x))
+
+
+def test_field_seminorm_probe_grid_errors():
     w = ProductField(ident, ident)
     reg = Regularity(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -325,7 +333,7 @@ def test_field_seminorm_probe_grid_errors():
     with pytest.raises(ValueError, match="outside"):
         holder_seminorm_field(grid, reg, 0.0, 1.0, (-0.5, 1.0))
     with pytest.raises(ValueError, match="GridField"):
-        holder_seminorm_field(DiagonalField(w, ident), reg, 0.0, 1.0, (0.0, 1.0))
+        holder_seminorm_field(_BareField(), reg, 0.0, 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

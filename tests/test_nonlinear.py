@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlyoung.fields import GridField, ProductField, Regularity, RegularityError, SumField
+from nlyoung.fields import (
+    DifferenceField,
+    Field,
+    GridField,
+    ProductField,
+    Regularity,
+    RegularityError,
+    SumField,
+)
 from nlyoung.fraccalc import dl_dr_integral
 from nlyoung.iterated import DiagonalField
 from nlyoung.nonlinear import (
@@ -92,7 +101,7 @@ def test_separable_media_take_the_grid_route():
     assert "n_nodes" not in rep.params and "n_triple" not in rep.params
     ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)
     grid = GridField(ts, xs, ts[:, None] * xs[None, :])
-    assert "grid_cells" not in integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False).params
+    assert integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False).params["grid_cells"] == 4096
 
 
 def test_holder_bound_ratio_reported(rough_case):
@@ -164,7 +173,14 @@ def test_sewing_sums_bitwise_equal_naive_germ_sums(name, interval):
     a, b = interval
     rep, trace = integrate_sewing(w, SEWING_PHI, a, b, max_levels=12, tol=0.0)
     assert rep.levels_used == 12
-    assert trace.sums == _naive_germ_sums(w, SEWING_PHI, a, b, 12)
+    if isinstance(w, DiagonalField):
+        # node reuse runs on the medium's term (g, rho*h), so its sums are
+        # the germ sums of that product, not of rho * (increment of F)
+        (g, h), = w.separable_terms()
+        assert trace.sums == _naive_germ_sums(ProductField(g, h), SEWING_PHI, a, b, 12)
+        assert trace.sums == pytest.approx(_naive_germ_sums(w, SEWING_PHI, a, b, 12), rel=1e-13)
+    else:
+        assert trace.sums == _naive_germ_sums(w, SEWING_PHI, a, b, 12)
 
 
 @pytest.mark.parametrize("name", ["weierstrass-product", "grid"])
@@ -238,18 +254,77 @@ def test_method_additivity(rough_case):
 
 
 def test_grid_field_end_to_end():
-    # a tabulated bilinear medium runs through the general (unfactored) path
-    from nlyoung.fields import GridField
-
+    # a tabulated bilinear medium runs through its 33 separable terms
     ts = np.linspace(0.0, 1.0, 33)
     xs = np.linspace(-0.25, 1.25, 33)
     grid = GridField(ts, xs, ts[:, None] * xs[None, :])
     cfg = QuadratureConfig(n_outer=256)
     rep = integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False)
     assert rep.value == pytest.approx(0.5, abs=1e-4)
-    assert (rep.params["n_nodes"], rep.params["n_outer"], rep.params["n_triple"]) == (4096, 256, 48)
+    assert (rep.params["n_outer"], rep.params["grid_cells"]) == (256, 4096)
+    assert "n_nodes" not in rep.params and "n_triple" not in rep.params
     rs, _ = integrate_sewing(grid, ident, 0.0, 1.0)
     assert rs.value == pytest.approx(0.5, abs=1e-6)
+
+
+def test_non_separable_grid_within_estimate_of_sewing():
+    # a rank-2 grid medium W = a(t) x + b(t) sin(1.3 x + c), not a product
+    rng = np.random.RandomState(0)
+    phi = sample_function(make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 2.0 * np.pi, 12))),
+                          0.0, 1.0, 4096)
+    lo, hi = float(np.min(phi.values)), float(np.max(phi.values))
+    ts = np.linspace(0.0, 1.0, 257)
+    xs = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 65)
+    a_t, b_t = (make_weierstrass(0.7, 8, phases=list(rng.uniform(0.0, 2.0 * np.pi, 8)))(ts) for _ in range(2))
+    grid = GridField(ts, xs, a_t[:, None] * xs[None, :] + b_t[:, None] * np.sin(1.3 * xs[None, :] + 0.4))
+    reg = Regularity(0.7, 1.0, 0.6)
+    rep = integrate_fractional(grid, phi, reg, 0.0, 1.0, with_bounds=False)
+    sew, _ = integrate_sewing(grid, phi, 0.0, 1.0, max_levels=18, tol=0.0)
+    assert rep.error_estimate <= 1e-3
+    assert abs(rep.value - sew.value) <= rep.error_estimate
+
+
+def _phased(rng, H, scales):
+    return make_weierstrass(H, scales, phases=list(rng.uniform(0.0, 2.0 * np.pi, scales)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_fractional_is_linear_in_the_medium(seed):
+    rng = np.random.RandomState(seed)
+    w1 = ProductField(_phased(rng, 0.7, 10), _phased(rng, 0.8, 8))
+    w2 = ProductField(_phased(rng, 0.75, 10), _phased(rng, 0.9, 8))
+    phi = _phased(rng, 0.625, 10)
+    rho = sample_function(np.cos, -4.0, 4.0, 256)
+    reg = Regularity(0.7, 0.8, 0.625)
+    cfg = QuadratureConfig(n_outer=64)
+
+    def frac(w):
+        return integrate_fractional(w, phi, reg, 0.0, 1.0, cfg, with_bounds=False).value
+
+    i1, i2 = frac(w1), frac(w2)
+    d1, d2 = frac(DiagonalField(w1, rho)), frac(DiagonalField(w2, rho))
+    for combined, expected in [
+        (frac(SumField(w1, w2)), i1 + i2),
+        (frac(DifferenceField(w1, w2)), i1 - i2),
+        (frac(DiagonalField(SumField(w1, w2), rho)), d1 + d2),
+        (frac(DiagonalField(DifferenceField(w1, w2), rho)), d1 - d2),
+    ]:
+        assert abs(combined - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class _Unexpanded(Field):
+    """A medium given only by eval, with no separable expansion."""
+
+    def eval(self, t, x):
+        return np.sin(np.asarray(t) * np.asarray(x))
+
+
+def test_medium_without_separable_terms_rejected_before_sampling():
+    phi = _Counting(np.sin)
+    with pytest.raises(ValueError, match="GridField"):
+        integrate_fractional(_Unexpanded(), phi, SMOOTH, 0.0, 1.0)
+    assert phi.points == 0
 
 
 def test_degenerate_constant_path_collapses():

@@ -38,12 +38,6 @@ def test_grid_cells_from_budget(n_outer, cells):
     assert QuadratureConfig(n_outer=n_outer).grid_cells() == cells
 
 
-@pytest.mark.parametrize("n_outer,cells", [(512, 96), (256, 48), (96, 24), (8, 24)])
-def test_triple_cells_from_budget(n_outer, cells):
-    # the budgets callers used to set by hand: 96/512 (default), 48/256, 24/96
-    assert QuadratureConfig(n_outer=n_outer).triple_cells() == cells
-
-
 def test_power_cells_closed_forms():
     edges = np.array([0.0, 0.25, 1.0])
     mass, cent = power_cells(edges, -0.5)
@@ -181,6 +175,16 @@ def test_marchaud_conv_matches_direct_sum(p, n):
         for j in range(n + 1)
     ]
     np.testing.assert_allclose(marchaud_conv(v, lo, hi), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 576])
+def test_marchaud_conv_rows_equal_one_dimensional_calls(n):
+    # a stack of rows runs each row as its own call would, bit for bit
+    lo, hi = hat_weights(-1.4, n + 1)
+    rows = np.random.default_rng(n).normal(size=(3, n + 1))
+    got = marchaud_conv(rows[:, ::-1], lo, hi)
+    for k in range(3):
+        assert np.array_equal(got[k], marchaud_conv(rows[k, ::-1].copy(), lo, hi))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

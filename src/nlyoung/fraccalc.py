@@ -20,7 +20,7 @@ from math import gamma
 
 import numpy as np
 
-from .paths import path_diff
+from .paths import path_diff, sample_uniform
 from .quadrature import (
     SPLIT_RADIUS,
     QuadratureConfig,
@@ -178,16 +178,10 @@ def dl_dr_integral(
 ) -> QuadResult:
     """Evaluate  -int_a^b D^gam_{a+} f(t) * D^{1-gam}_{b-} g_{b-}(t) dt.
 
-    f and g are sampled once on N + 1 uniform nodes (N = cfg.grid_cells());
-    both Marchaud sums at every node are FFT convolutions, and the outer
-    weights (t-a)^(-gam), (b-t)^(gam-1) are integrated exactly on each half
-    of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
-    at the scheme's error order min(2-gam, 1+gam).  Requires mu_f > gam and
-    beta_g > 1 - gam for the inner integrals to converge.
-
-    f and g may also return K rows of N + 1 samples each; the result is then
-    sum_k int f_k dg_k, with the rows' integrands summed at the nodes before
-    the outer sum and the one extrapolation.
+    f and g are sampled once on the N + 1 uniform nodes of grid_rows and the
+    samples go to dl_dr_sampled, which computes the integral from them.
+    Requires mu_f > gam and beta_g > 1 - gam for the inner integrals to
+    converge.
     """
     cfg = cfg or QuadratureConfig()
     if not 0.0 < gam < 1.0:
@@ -197,9 +191,35 @@ def dl_dr_integral(
     if beta_g <= 1.0 - gam:
         raise ValueError(f"need beta_g > 1 - gamma, got beta_g={beta_g}, gamma={gam}")
     _require_interval(a, b)
+    fv, gv = grid_rows((f, g), a, b, cfg)
+    return dl_dr_sampled(fv, gv, gam, a, b, cfg)
+
+
+def grid_rows(fns, a: float, b: float, cfg: QuadratureConfig) -> np.ndarray:
+    """Row k holds fns[k] at the N + 1 uniform nodes np.linspace(a, b, N + 1),
+    N = cfg.grid_cells(), each sampled through paths.sample_uniform."""
     big_n = cfg.grid_cells()
     ts = np.linspace(a, b, big_n + 1)
-    fv, gv = np.asarray(f(ts), dtype=float), np.asarray(g(ts), dtype=float)
+    out = np.empty((len(fns), ts.size))
+    for k, fn in enumerate(fns):
+        out[k] = sample_uniform(fn, ts, (b - a) / big_n)
+    return out
+
+
+def dl_dr_sampled(fv, gv, gam: float, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
+    """dl_dr_integral from f and g sampled at the nodes of grid_rows(..., a, b, cfg).
+
+    Both Marchaud sums at every node are FFT convolutions, and the outer
+    weights (t-a)^(-gam), (b-t)^(gam-1) are integrated exactly on each half
+    of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
+    at the scheme's error order min(2-gam, 1+gam).  The arguments are not
+    validated again: dl_dr_integral states what they must satisfy.
+
+    fv and gv may also hold K rows each; the result is then
+    sum_k int f_k dg_k, with the rows' integrands summed at the nodes before
+    the outer sum and the one extrapolation.
+    """
+    big_n = cfg.grid_cells()
     # a cell's weights do not depend on N: the finest level's serve all three
     w_left, w_right = hat_weights(-gam - 1.0, big_n + 1), hat_weights(gam - 2.0, big_n + 1)
     w_a, w_b = hat_weights(-gam, big_n // 2), hat_weights(gam - 1.0, big_n // 2)

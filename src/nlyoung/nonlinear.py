@@ -13,7 +13,7 @@ with W_{b-}(t,x) = W(t,x) - W(b,x).  The expansion is linear in W, and for
 W = g(t) h(x) it is the fractional Young form of int h(phi) dg (Zahle 1998).
 Every medium the package builds is a finite sum W = sum_k g_k(t) h_k(x)
 (Field.separable_terms), so the four terms are computed as
-sum_k int h_k(phi) dg_k by one call of fraccalc.dl_dr_integral on the
+sum_k int h_k(phi) dg_k by one call of fraccalc.dl_dr_sampled on the
 stacked terms.  The sewing route sums the germ
 mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic partitions and
 Richardson-extrapolates the limit.  Both require the declared exponents to
@@ -37,12 +37,13 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
-from .fraccalc import _require_interval, dl_dr_integral
+from .fraccalc import _require_interval, dl_dr_sampled, grid_rows
 from .paths import (
     HolderReport,
     SampledPath,
     holder_seminorm_path,
     sample_function,
+    sample_uniform,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -160,9 +161,10 @@ def integrate_fractional(
     """int_a^b W(dt, phi_t) by the four-term fractional expansion.
 
     The expansion is linear in W, so for W = sum_k g_k(t) h_k(x) it is
-    sum_k int h_k(phi) dg_k, each term the fractional Young form.  phi is
-    sampled once and dl_dr_integral runs on the stacked rows h_k(phi) and g_k
-    over params["grid_cells"] cells.  A medium without separable_terms()
+    sum_k int h_k(phi) dg_k, each term the fractional Young form.  phi and
+    the g_k are sampled once on the params["grid_cells"] cells of
+    fraccalc.grid_rows, and fraccalc.dl_dr_sampled runs on the stacked rows
+    h_k(phi) and g_k.  A medium without separable_terms()
     raises ValueError; sample it into a GridField.  The bound_ratios["holder"]
     entry divides |value| by the estimated right side of the a-priori bound
     ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
@@ -187,18 +189,12 @@ def integrate_fractional(
         "grid_cells": cfg.grid_cells(),
     }
     g_terms, h_terms = zip(*terms)
-
-    def rows(fns, x, size):
-        out = np.empty((len(fns), size))
-        for k, fn in enumerate(fns):
-            out[k] = fn(x)
-        return out
-
-    combined = dl_dr_integral(
-        lambda ts: rows(h_terms, phi(ts), ts.size),
-        lambda ts: rows(g_terms, ts, ts.size),
-        reg.alpha, a, b, mu_f=reg.lam * reg.gamma, beta_g=reg.tau, cfg=cfg,
-    )
+    rows = grid_rows((phi, *g_terms), a, b, cfg)
+    h_rows = np.empty((len(h_terms), rows.shape[1]))
+    for k, h in enumerate(h_terms):
+        h_rows[k] = h(rows[0])
+    # reg.require_admissible() gave lam*gamma > alpha > 1 - tau, which the kernel needs
+    combined = dl_dr_sampled(h_rows, rows[1:], reg.alpha, a, b, cfg)
 
     bound_ratios: dict = {}
     if with_bounds:
@@ -271,20 +267,25 @@ def _separable_sums(g, h, phi, a: float, b: float):
 
     The germ is (g(t_(i+1)) - g(t_i)) h(phi(t_i)), and each partition is the
     previous one plus its midpoints, so g and h(phi) are carried at the nodes
-    and only evaluated at the new midpoints.  These midpoints are bitwise the
-    odd nodes of np.linspace(a, b, n + 1) and the even ones are bitwise the
-    coarser level's nodes, so the sums match _germ_sums bit for bit.
+    and only evaluated at the new midpoints.  g and phi are sampled there
+    through paths.sample_uniform, h on phi's values.  The midpoints are
+    bitwise the odd nodes of np.linspace(a, b, n + 1) and the even ones are
+    bitwise the coarser level's nodes, so for g and phi without `on_grid` the
+    sums match _germ_sums bit for bit.  A Weierstrass g or phi is sampled by
+    its on_grid, whose samples meet the series' accuracy contract instead of
+    matching its calls bit for bit.
     """
     ts = np.linspace(a, b, 2)
-    gv = np.asarray(g(ts), dtype=float)
-    hv = np.asarray(h(phi(ts)), dtype=float)
+    gv = sample_uniform(g, ts, b - a)
+    hv = np.asarray(h(sample_uniform(phi, ts, b - a)), dtype=float)
     n = 1
     while True:
         yield float(np.sum((gv[1:] - gv[:-1]) * hv[:-1]))
         n *= 2
-        mid = np.arange(1, n, 2) * ((b - a) / n) + a
-        gv = _interleave(gv, g(mid))
-        hv = _interleave(hv, h(phi(mid)))
+        step = (b - a) / n
+        mid = np.arange(1, n, 2) * step + a
+        gv = _interleave(gv, sample_uniform(g, mid, 2.0 * step))
+        hv = _interleave(hv, h(sample_uniform(phi, mid, 2.0 * step)))
 
 
 def integrate_sewing(

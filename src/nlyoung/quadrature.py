@@ -26,6 +26,7 @@ over the medium's separable terms, with the terms as rows of one grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -235,13 +236,33 @@ def two_sided_cells(
     return weights, nodes, dist_a, dist_b
 
 
+# Many solves on one small grid (an indefinite integral makes one per
+# subinterval) would rebuild the same weights, so those of grids up to
+# _CACHED_HAT_CELLS cells are kept, 8 pairs at most: 0.5 MB in all.  Larger
+# grids are not kept, because their weights would outlive their solve by
+# megabytes each.
+_CACHED_HAT_CELLS = 4097
+
+
 def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo_k = int_k^(k+1) (k+1-u) u^p du and hi_k = int_k^(k+1) (u-k) u^p du.
 
     These are the moments of u^p against the two hat functions of each unit
     cell k = 0..n-1.  Requires p > -2, p != -1; for p < -1 lo_0 diverges and
     is returned as 0 (a Marchaud sum multiplies it by a zero difference).
+    The arrays are read-only, since those of small grids are shared.
     """
+    if n <= _CACHED_HAT_CELLS:
+        return _cached_hat_weights(p, n)
+    return _build_hat_weights(p, n)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _build_hat_weights(p, n)
+
+
+def _build_hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     q1, q2 = p + 1.0, p + 2.0
     if q2 <= 0.0 or q1 == 0.0:
         raise ValueError(f"hat weights need p > -2 and p != -1, got {p}")
@@ -265,6 +286,7 @@ def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo = mass - first
     mass += first
     lo[0], mass[0] = (1.0 / q1 - 1.0 / q2 if q1 > 0.0 else 0.0), 1.0 / q2
+    lo.flags.writeable = mass.flags.writeable = False
     return lo, mass
 
 

@@ -13,8 +13,8 @@ from nlyoung.fields import (
     RegularityError,
     SumField,
 )
-from nlyoung.fraccalc import dl_dr_integral
-from nlyoung.iterated import DiagonalField
+from nlyoung.fraccalc import dl_dr_integral, dl_dr_sampled, grid_rows
+from nlyoung.iterated import DiagonalField, _Weighted
 from nlyoung.nonlinear import (
     Germ,
     alpha_independence,
@@ -27,13 +27,60 @@ from nlyoung.nonlinear import (
     stability_in_medium,
     stability_in_path,
 )
-from nlyoung.paths import make_function, make_weierstrass, sample_function
+from nlyoung.paths import SampledPath, WeierstrassFunction, make_function, make_weierstrass, sample_function
 from nlyoung.quadrature import QuadratureConfig
 from nlyoung.young import young_integral
 
 ident = make_function("identity")
 one = make_function("const:c=1")
 SMOOTH = Regularity(1.0, 1.0, 1.0, 0.5)
+EPS = np.finfo(float).eps
+
+
+class _Counting:
+    """A plain callable around f that counts the points it is evaluated at.
+
+    It has neither diff nor on_grid, so every sample of f is a call of f.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.f(t)
+
+
+class _CountingSeries(WeierstrassFunction):
+    """A Weierstrass series that counts the points it is called at."""
+
+    points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return super().__call__(t)
+
+
+def _grid_gap(f, t_max):
+    """How far a series' grid samples may lie from its calls at |t| <= t_max:
+    the evaluator contract of tests/test_paths.py; 0 for any other callable,
+    which sees the same nodes on both routes."""
+    if not isinstance(f, WeierstrassFunction):
+        return 0.0
+    return 3.0 * EPS * float(np.sum(f._amps * (1.0 + f._freqs * t_max)))
+
+
+def _h_sensitivity(h, x_max):
+    """(L, e) with |h~(x') - h~(x)| <= L |x' - x| + 2 e for the computed h~ at
+    |x|, |x'| <= x_max: h's Lipschitz constant and its call's error."""
+    if isinstance(h, WeierstrassFunction):
+        return float(h._amps @ h._freqs), _grid_gap(h, x_max)
+    if isinstance(h, _Weighted):  # rho h, rho a linear interpolant of cos: |rho|, slopes <= 1
+        assert isinstance(h.density, SampledPath) and isinstance(h.h, WeierstrassFunction)
+        lip, err = _h_sensitivity(h.h, x_max)
+        return lip + float(np.sum(h.h._amps)), err + 4.0 * EPS * float(np.sum(h.h._amps))
+    return 1.0, 0.0  # the identity
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +133,17 @@ def test_reduction_to_young_integral(rough_case):
     assert abs(rep.value - young.value) <= 5.0 * (rep.error_estimate + young.error_estimate)
 
 
+GRID_ROUTE_SERIES = (
+    make_weierstrass(0.7, 12, phases=[0.3] * 12),
+    make_weierstrass(0.8, 10),
+    make_weierstrass(0.625, 12),
+)
+
+
 def test_separable_media_take_the_grid_route():
-    # W = g(t) h(x): the fractional expansion is the Young form of int h(phi) dg
-    g = make_weierstrass(0.7, 12, phases=[0.3] * 12)
-    h = make_weierstrass(0.8, 10)
-    phi = make_weierstrass(0.625, 12)
+    # W = g(t) h(x): the fractional expansion is the Young form of int h(phi) dg;
+    # plain callables see the same nodes on both sides, so the bits agree
+    g, h, phi = (_Counting(f) for f in GRID_ROUTE_SERIES)
     reg = Regularity(0.7, 0.8, 0.625)
     cfg = QuadratureConfig(n_outer=256)
     rep = integrate_fractional(ProductField(g, h), phi, reg, 0.1, 0.9, cfg, with_bounds=False)
@@ -102,6 +155,39 @@ def test_separable_media_take_the_grid_route():
     ts, xs = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 9)
     grid = GridField(ts, xs, ts[:, None] * xs[None, :])
     assert integrate_fractional(grid, ident, SMOOTH, 0.0, 1.0, cfg, with_bounds=False).params["grid_cells"] == 4096
+
+
+def test_separable_media_grid_route_of_raw_series_within_evaluator_bound():
+    # the kernel is linear in each row: its value moves by at most
+    # sum_j |d value / d f_j| df + sum_j |d value / d g_j| dg, plus rounding
+    reg = Regularity(0.7, 0.8, 0.625)
+    cfg = QuadratureConfig(n_outer=64)
+    g, h, phi = GRID_ROUTE_SERIES
+    raw = integrate_fractional(ProductField(g, h), phi, reg, 0.1, 0.9, cfg, with_bounds=False)
+    plain = integrate_fractional(ProductField(_Counting(g), _Counting(h)), _Counting(phi), reg, 0.1, 0.9, cfg,
+                                 with_bounds=False)
+    phi_v, g_v = grid_rows((_Counting(phi), _Counting(g)), 0.1, 0.9, cfg)
+    f_v = h(phi_v)
+    unit = np.eye(phi_v.size)
+    d_f = np.array([dl_dr_sampled(u, g_v, reg.alpha, 0.1, 0.9, cfg).value for u in unit])
+    d_g = np.array([dl_dr_sampled(f_v, u, reg.alpha, 0.1, 0.9, cfg).value for u in unit])
+    lip, err = _h_sensitivity(h, float(np.max(np.abs(phi_v))) + _grid_gap(phi, 0.9))
+    df = lip * _grid_gap(phi, 0.9) + 2.0 * err
+    dg = _grid_gap(g, 0.9)
+    rounding = 2.0 * phi_v.size * EPS * float(np.abs(d_f) @ np.abs(f_v))
+    assert abs(raw.value - plain.value) <= float(np.sum(np.abs(d_f))) * df + float(np.sum(np.abs(d_g))) * dg + rounding
+
+
+def test_series_sampled_on_grids_are_never_called():
+    g, h, phi = _CountingSeries(0.6, 12), _CountingSeries(0.9, 10), _CountingSeries(0.7, 12)
+    rep, _ = integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=10, tol=0.0)
+    assert g.points == phi.points == 0
+    assert h.points == 2**rep.levels_used + 1  # h(phi) stays on the call
+    reg = Regularity(0.6, 0.9, 0.7)
+    cfg = QuadratureConfig(n_outer=64)
+    integrate_fractional(ProductField(g, h), phi, reg, 0.0, 1.0, cfg, with_bounds=False)
+    dl_dr_integral(phi, g, 0.5, 0.0, 1.0, cfg=cfg)
+    assert g.points == phi.points == 0
 
 
 def test_holder_bound_ratio_reported(rough_case):
@@ -138,10 +224,10 @@ def test_sewing_converges_and_traces(rough_case):
     assert len(trace.sums) == 17
 
 
-def _sewing_media():
+def _sewing_media(wrap):
     rng = np.random.RandomState(11)
-    g = make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 2.0 * np.pi, 12)))
-    h = make_weierstrass(0.9, 10, phases=list(rng.uniform(0.0, 2.0 * np.pi, 10)))
+    g = wrap(make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 2.0 * np.pi, 12))))
+    h = wrap(make_weierstrass(0.9, 10, phases=list(rng.uniform(0.0, 2.0 * np.pi, 10))))
     xs = np.linspace(-3.0, 3.0, 17)
     return {
         "weierstrass-product": ProductField(g, h),
@@ -152,8 +238,11 @@ def _sewing_media():
     }
 
 
-SEWING_MEDIA = _sewing_media()
-SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
+# the series behind plain callables (every sample a call), and the raw series
+SEWING_MEDIA = _sewing_media(_Counting)
+RAW_SEWING_MEDIA = _sewing_media(lambda f: f)
+RAW_SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
+SEWING_PHI = _Counting(RAW_SEWING_PHI)
 
 
 def _naive_germ_sums(w, phi, a, b, levels):
@@ -169,6 +258,7 @@ def _naive_germ_sums(w, phi, a, b, levels):
 @pytest.mark.parametrize("name", sorted(SEWING_MEDIA))
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71)])
 def test_sewing_sums_bitwise_equal_naive_germ_sums(name, interval):
+    # the series sit behind plain callables, so both sides see the same nodes
     w = SEWING_MEDIA[name]
     a, b = interval
     rep, trace = integrate_sewing(w, SEWING_PHI, a, b, max_levels=12, tol=0.0)
@@ -183,6 +273,41 @@ def test_sewing_sums_bitwise_equal_naive_germ_sums(name, interval):
         assert trace.sums == _naive_germ_sums(w, SEWING_PHI, a, b, 12)
 
 
+def _series_sum_bounds(g, h, phi, a, b, levels):
+    """Per level k, how far the sewing sums of raw series may lie from those of
+    the same functions behind plain callables.
+
+    The level-k sum is sum_i (g_(i+1) - g_i) h(phi_i) over 2^k cells.  The grid
+    evaluator moves each g sample by at most dg and each h(phi) by at most
+    dh = L dphi + 2 e, so the sum moves by at most
+    2^k (2 dg max|h(phi)| + max|g_(i+1) - g_i| dh), plus each side's rounding.
+    """
+    t_max = max(abs(a), abs(b))
+    dg, dphi = _grid_gap(g, t_max), _grid_gap(phi, t_max)
+    phi_fine = phi(np.linspace(a, b, 2**levels + 1))
+    lip, err = _h_sensitivity(h, float(np.max(np.abs(phi_fine))) + dphi)
+    dh = lip * dphi + 2.0 * err if dphi > 0.0 else 0.0
+    h_max = float(np.max(np.abs(h(phi_fine)))) + dh
+    bounds = []
+    for k in range(levels + 1):
+        cells = 2**k
+        g_osc = float(np.max(np.abs(np.diff(g(np.linspace(a, b, cells + 1)))))) + 2.0 * dg
+        rounding = 2.0 * (k + 2) * EPS * cells * g_osc * h_max
+        bounds.append(cells * (2.0 * dg * h_max + g_osc * dh) + rounding)
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("name", ["diagonal", "sin-product", "weierstrass-product"])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71)])
+def test_sewing_sums_of_raw_series_within_evaluator_bound(name, interval):
+    a, b = interval
+    _, plain = integrate_sewing(SEWING_MEDIA[name], SEWING_PHI, a, b, max_levels=12, tol=0.0)
+    _, raw = integrate_sewing(RAW_SEWING_MEDIA[name], RAW_SEWING_PHI, a, b, max_levels=12, tol=0.0)
+    (g, h), = RAW_SEWING_MEDIA[name].separable_terms()
+    bounds = _series_sum_bounds(g, h, RAW_SEWING_PHI, a, b, 12)
+    assert np.all(np.abs(np.subtract(raw.sums, plain.sums)) <= bounds)
+
+
 @pytest.mark.parametrize("name", ["weierstrass-product", "grid"])
 def test_sewing_early_stop_sums_bitwise_equal(name):
     w = SEWING_MEDIA[name]
@@ -193,16 +318,16 @@ def test_sewing_early_stop_sums_bitwise_equal(name):
     assert trace.sums == _naive_germ_sums(w, smooth_phi, 0.13, 0.71, rep.levels_used)
 
 
-class _Counting:
-    """A path that counts the points it is evaluated at (and has no diff)."""
-
-    def __init__(self, f):
-        self.f = f
-        self.points = 0
-
-    def __call__(self, t):
-        self.points += np.size(t)
-        return self.f(t)
+def test_sewing_early_stop_of_raw_series_within_evaluator_bound():
+    smooth_phi = make_function("sin")
+    plain, plain_trace = integrate_sewing(SEWING_MEDIA["weierstrass-product"], smooth_phi, 0.13, 0.71,
+                                          max_levels=16, tol=1e-4)
+    w = RAW_SEWING_MEDIA["weierstrass-product"]
+    raw, raw_trace = integrate_sewing(w, smooth_phi, 0.13, 0.71, max_levels=16, tol=1e-4)
+    assert (raw.params["stop_reason"], raw.levels_used) == ("tol", plain.levels_used)
+    (g, h), = w.separable_terms()
+    bounds = _series_sum_bounds(g, h, smooth_phi, 0.13, 0.71, raw.levels_used)
+    assert np.all(np.abs(np.subtract(raw_trace.sums, plain_trace.sums)) <= bounds)
 
 
 @pytest.mark.parametrize("max_levels, tol", [(10, 0.0), (16, 1e-4)])

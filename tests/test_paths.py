@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlyoung.paths import (
     SampledPath,
@@ -10,6 +11,7 @@ from nlyoung.paths import (
     make_weierstrass,
     read_path_csv,
     sample_function,
+    sample_uniform,
     write_path_csv,
 )
 
@@ -124,6 +126,80 @@ def test_weierstrass_in_place_sum_bitwise_equals_direct_sum(t):
     got = w(t)
     assert np.shape(got) == np.shape(t)
     np.testing.assert_array_equal(got, direct)
+
+
+def _grid_bound(w, ts):
+    """The evaluators' accuracy contract c * eps * sum_k A_k (1 + F_k max|t|).
+
+    c = 3: calling the function reaches 1.2 of the c = 1 bound against an
+    extended-precision reference, and the two evaluators differ by at most the
+    sum of their errors."""
+    return 3.0 * np.finfo(float).eps * float(np.sum(w._amps * (1.0 + w._freqs * np.max(np.abs(ts)))))
+
+
+def _longdouble_reference(w, start, step, count):
+    t = np.longdouble(start) + np.arange(count, dtype=np.longdouble) * np.longdouble(step)
+    out = np.zeros(count, dtype=np.longdouble)
+    for amp, freq, phase in zip(w._amps, w._freqs, w.phases):
+        out += np.longdouble(amp) * np.cos(np.longdouble(freq) * t + np.longdouble(phase))
+    return out, t
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+@pytest.mark.parametrize("base", [2.0, 3.0, 2.5])
+@pytest.mark.parametrize(
+    "start, stop, count",
+    [(0.0, 1.0, 1), (0.0, 1.0, 2), (-1.3, 0.7, 1000), (-3.0, -2.0, 4097), (0.1, 0.9, 2**18 + 1)],
+)
+def test_weierstrass_on_grid_within_contract_of_extended_reference(base, start, stop, count):
+    phases = list(np.random.default_rng(count).uniform(0.0, 2.0 * np.pi, 20))
+    w = make_weierstrass(0.6, 20, base=base, phases=phases)
+    step = (stop - start) / max(count - 1, 1)
+    want, t = _longdouble_reference(w, start, step, count)
+    bound = _grid_bound(w, t)
+    got = w.on_grid(start, step, count)
+    assert got.shape == (count,)
+    assert float(np.max(np.abs(got - want))) <= bound
+    # the bound is the one calling the function meets at the same nodes
+    assert float(np.max(np.abs(w(start + np.arange(count) * step) - want))) <= bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    H=st.floats(0.05, 0.95),
+    scales=st.integers(1, 20),
+    base=st.floats(2.0, 4.0),
+    phase=st.floats(-7.0, 7.0),
+    start=st.floats(-5.0, 5.0),
+    step=st.floats(1e-6, 0.1),
+    count=st.integers(1, 3000),
+)
+def test_weierstrass_on_grid_matches_call(H, scales, base, phase, start, step, count):
+    w = make_weierstrass(H, scales, base=base, phases=[phase * (k + 1) for k in range(scales)])
+    ts = start + np.arange(count) * step
+    got = w.on_grid(start, step, count)
+    assert float(np.max(np.abs(got - w(ts)))) <= _grid_bound(w, ts)
+
+
+def test_weierstrass_on_grid_repeats_bitwise():
+    w = make_weierstrass(0.7, 12, base=3.0, phases=[0.4 * k for k in range(12)])
+    first = w.on_grid(-0.3, 1.0 / 4096, 2**17 + 3)
+    assert np.array_equal(first, w.on_grid(-0.3, 1.0 / 4096, 2**17 + 3))
+
+
+def test_sample_uniform_calls_plain_callables_on_the_given_nodes():
+    seen = []
+
+    def spy(t):
+        seen.append(t)
+        return np.sin(t)
+
+    ts = np.arange(1, 64, 2) * (1.0 / 64) + 0.25
+    got = sample_uniform(spy, ts, 2.0 / 64)
+    assert len(seen) == 1 and seen[0] is ts
+    assert np.array_equal(got, np.sin(ts))
+    w = make_weierstrass(0.6, 12)
+    assert np.array_equal(sample_uniform(w, ts, 2.0 / 64), w.on_grid(ts[0], 2.0 / 64, ts.size))
 
 
 def test_weierstrass_argument_errors():

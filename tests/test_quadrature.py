@@ -164,6 +164,16 @@ def test_hat_weights_reject_bad_powers():
             hat_weights(p, 16)
 
 
+@pytest.mark.parametrize("n", [577, 5000])
+def test_hat_weights_read_only_and_kept_for_small_grids_only(n):
+    lo, hi = hat_weights(-1.3, n)
+    assert not lo.flags.writeable and not hi.flags.writeable
+    again = hat_weights(-1.3, n)
+    assert np.array_equal(lo, again[0]) and np.array_equal(hi, again[1])
+    # small grids share one pair; large ones are built per call, so the cache stays small
+    assert (again[0] is lo) == (n <= 4097)
+
+
 @pytest.mark.parametrize("p", [-1.8, -1.5, -1.2])
 @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
 def test_marchaud_conv_matches_direct_sum(p, n):

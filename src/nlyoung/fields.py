@@ -13,19 +13,21 @@ products, nodal second differences) instead of subtracting four large values.
 Media that are finite sums of products W(t, x) = sum_k g_k(t) h_k(x) also
 list their terms through separable_terms(): a product has one term, sums and
 differences concatenate their parts' terms, a diagonal medium weights each
-term of its base by the density, and a grid expands exactly into its
-interpolated columns times the hats of its x nodes.  The four-term fractional
-expansion of int W(dt, phi_t) is linear in W, so the fractional route
-computes it as sum_k int h_k(phi) dg_k over these terms; the sewing sums
-reuse nodes for a single term.  The field seminorm reads every term, so its
-probes are matrix products of the terms' increments and never go through the
-increment calls.
+term of its base by the density, and a grid lists the terms of its
+numerical rank from a thin SVD of its nodal values, exact to within the
+first dropped singular value, a rounding-level amount.  The four-term
+fractional expansion of int W(dt, phi_t) is linear in W, so the fractional
+route computes it as sum_k int h_k(phi) dg_k over these terms; the sewing
+sums reuse nodes for a single term.  The field seminorm reads every term,
+so its probes are matrix products of the terms' increments and never go
+through the increment calls.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -280,21 +282,35 @@ class GridField(Field):
         return d0 + w * (d1 - d0)
 
     def increment_t(self, s, t, x):
+        """W(t, x) - W(s, x) from nodal row differences.
+
+        Where s and t share a time cell the increment is (t - s)/dt_cell times
+        the cell's row difference; where they do not, it is the row
+        difference between their lower nodes plus the two partial-cell
+        corrections.  The cell's row difference is formed once and the
+        cross-cell formula only on the pairs that cross a cell.  Increments
+        read the nodal values, not the rank expansion of separable_terms,
+        so its tolerance does not reach them.
+        """
         s, t, x = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         )
+        shape = s.shape
+        s, t, x = s.ravel(), t.ravel(), x.ravel()
         it, u = self._locate(self.ts, t)
         is_, v = self._locate(self.ts, s)
         j, w = self._locate(self.xs, x)
-        cross = (
-            self._rowdiff_at(it, is_, j, w)
-            + u * self._rowdiff_at(it + 1, it, j, w)
-            - v * self._rowdiff_at(is_ + 1, is_, j, w)
-        )
-        dt_cell = self.ts[it + 1] - self.ts[it]
-        local = ((t - s) / dt_cell) * self._rowdiff_at(it + 1, it, j, w)
-        out = np.where(it == is_, local, cross)
-        return out if out.ndim else float(out)
+        step = self._rowdiff_at(it + 1, it, j, w)
+        out = ((t - s) / (self.ts[it + 1] - self.ts[it])) * step
+        c = np.flatnonzero(it != is_)
+        if c.size:
+            it, is_, j, w = it[c], is_[c], j[c], w[c]
+            out[c] = (
+                self._rowdiff_at(it, is_, j, w)
+                + u[c] * step[c]
+                - v[c] * self._rowdiff_at(is_ + 1, is_, j, w)
+            )
+        return out.reshape(shape) if shape else float(out[0])
 
     def increment_x(self, t, x, y):
         t, x, y = np.broadcast_arrays(
@@ -351,12 +367,28 @@ class GridField(Field):
         return out if out.ndim else float(out)
 
     def separable_terms(self):
-        """Column k interpolated in t times the hat at xs[k]: bilinear exactly."""
-        hats = np.eye(self.xs.size)
-        return [
-            (SampledPath(self.ts, self.values[:, k]), SampledPath(self.xs, hats[k]))
-            for k in range(self.xs.size)
-        ]
+        """The grid's numerical-rank expansion, from a thin SVD of its values.
+
+        With the m x n values = U S V^T, term k is
+        g_k = SampledPath(ts, s_k U[:, k]) and h_k = SampledPath(xs, V^T[k]),
+        for the singular values s_k > max(m, n) * eps * s_1 (at least one
+        term).  Bilinear interpolation is linear in the nodal values and its
+        weights are nonnegative and sum to one, so the expansion reproduces
+        eval everywhere within the first dropped singular value: the size of
+        the rounding that values of magnitude s_1 already carry.  The terms
+        are computed once per grid; each call returns a fresh list.
+        """
+        return list(self._rank_terms)
+
+    @cached_property
+    def _rank_terms(self):
+        u, sv, vt = np.linalg.svd(self.values, full_matrices=False)
+        tol = max(self.values.shape) * np.finfo(float).eps * sv[0]
+        r = max(1, int(np.count_nonzero(sv > tol)))
+        g_rows = sv[:r, None] * u[:, :r].T
+        return tuple(
+            (SampledPath(self.ts, g_rows[k]), SampledPath(self.xs, vt[k])) for k in range(r)
+        )
 
 
 # ---------------------------------------------------------------------------

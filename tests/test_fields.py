@@ -18,7 +18,8 @@ from nlyoung.fields import (
     write_grid_json,
 )
 from nlyoung.iterated import DiagonalField
-from nlyoung.paths import make_function, make_weierstrass, sample_function
+from nlyoung.nonlinear import integrate_fractional, integrate_sewing
+from nlyoung.paths import SampledPath, make_function, make_weierstrass, sample_function
 
 ident = make_function("identity")
 one = make_function("const:c=1")
@@ -147,6 +148,183 @@ def test_grid_json_round_trip(tmp_path):
     assert np.array_equal(back.values, grid.values)
 
 
+def _where_increment_t(grid, s, t, x):
+    """GridField.increment_t with both formulas on every pair and np.where:
+    the reference the cross-cell-only evaluation must match bitwise."""
+    s, t, x = np.broadcast_arrays(
+        np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    )
+    it, u = grid._locate(grid.ts, t)
+    is_, v = grid._locate(grid.ts, s)
+    j, w = grid._locate(grid.xs, x)
+    cross = (
+        grid._rowdiff_at(it, is_, j, w)
+        + u * grid._rowdiff_at(it + 1, it, j, w)
+        - v * grid._rowdiff_at(is_ + 1, is_, j, w)
+    )
+    dt_cell = grid.ts[it + 1] - grid.ts[it]
+    local = ((t - s) / dt_cell) * grid._rowdiff_at(it + 1, it, j, w)
+    out = np.where(it == is_, local, cross)
+    return out if out.ndim else float(out)
+
+
+def _assert_bitwise(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_increment_t_bitwise_equal_where_oracle():
+    rng = np.random.RandomState(5)
+    grid = GridField(np.sort(np.r_[0.0, rng.rand(31), 1.0]), np.linspace(-1.0, 1.0, 17),
+                     rng.randn(33, 17))
+    ts = grid.ts
+    cell = rng.randint(0, ts.size - 1, 500)
+    lo, width = ts[cell], ts[cell + 1] - ts[cell]
+    x = rng.uniform(-1.0, 1.0, 500)
+    same = (lo + width * rng.rand(500), lo + width * rng.rand(500))
+    other = (cell + rng.randint(1, ts.size - 1, 500)) % (ts.size - 1)
+    crossing = (same[0], ts[other] + (ts[other + 1] - ts[other]) * rng.rand(500))
+    assert np.all(grid._locate(ts, same[0])[0] == grid._locate(ts, same[1])[0])
+    assert np.all(grid._locate(ts, crossing[0])[0] != grid._locate(ts, crossing[1])[0])
+    mixed = (np.r_[same[0][:250], crossing[0][:250]], np.r_[same[1][:250], crossing[1][:250]])
+    nodes = rng.choice(ts, 500)
+    edges = [
+        (nodes, np.minimum(nodes + width, 1.0)),    # s on a node
+        (lo, ts[cell + 1]),                          # both ends of one cell
+        (ts[cell + 1], lo),                          # reversed
+        (nodes, rng.choice(ts, 500)),                # node to node
+        (np.zeros(500), np.ones(500)),               # the whole axis
+        (np.ones(500), rng.rand(500)),               # from the last node
+    ]
+    for s, t in [same, crossing, mixed, *edges]:
+        _assert_bitwise(grid.increment_t(s, t, x), _where_increment_t(grid, s, t, x))
+    for s, t, xx in [(0.3, 0.7, 0.1), (0.3, 0.3001, -0.2), (0.0, 1.0, 1.0), (0.5, 0.5, 0.0),
+                     (ts[3], ts[4], -1.0), (1.0, 0.0, 0.3)]:
+        got = grid.increment_t(s, t, xx)
+        assert type(got) is float
+        _assert_bitwise(got, _where_increment_t(grid, s, t, xx))
+    s, t = rng.rand(7, 1), rng.rand(1, 9)
+    for args in [(s, t, 0.25), (s, t, rng.uniform(-1.0, 1.0, (7, 9))), (0.4, t, s - 0.5),
+                 (s[:, :, None], t[:, :, None], rng.uniform(-1.0, 1.0, 3))]:
+        _assert_bitwise(grid.increment_t(*args), _where_increment_t(grid, *args))
+
+
+# ---------------------------------------------------------------------------
+# the rank expansion of grids
+
+
+class _HatGrid(GridField):
+    """A grid expanded exactly, column k interpolated in t times the hat at
+    xs[k]: the reference for the rank expansion."""
+
+    def separable_terms(self):
+        hats = np.eye(self.xs.size)
+        return [
+            (SampledPath(self.ts, self.values[:, k]), SampledPath(self.xs, hats[k]))
+            for k in range(self.xs.size)
+        ]
+
+
+def _rank2_grid_and_path():
+    """W = a(t) x + b(t) sin(1.3 x + 0.4) on 257 x 65 nodes around a
+    Weierstrass path, the grid-data medium."""
+    rng = np.random.RandomState(0)
+    phi = sample_function(make_weierstrass(0.6, 12, phases=list(rng.uniform(0.0, 2.0 * np.pi, 12))),
+                          0.0, 1.0, 4096)
+    lo, hi = float(np.min(phi.values)), float(np.max(phi.values))
+    ts = np.linspace(0.0, 1.0, 257)
+    xs = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 65)
+    a_t, b_t = (make_weierstrass(0.7, 8, phases=list(rng.uniform(0.0, 2.0 * np.pi, 8)))(ts)
+                for _ in range(2))
+    values = a_t[:, None] * xs[None, :] + b_t[:, None] * np.sin(1.3 * xs[None, :] + 0.4)
+    return ts, xs, values, phi
+
+
+def _rank_grids():
+    ts, xs, values, _ = _rank2_grid_and_path()
+    rng = np.random.RandomState(3)
+    t65, x33 = np.linspace(0.0, 1.0, 65), np.linspace(-1.0, 1.0, 33)
+    # singular values 1, 0.1, ..., 1e-12: all far above 65 eps, so all kept
+    left, right = np.linalg.qr(rng.randn(65, 13))[0], np.linalg.qr(rng.randn(33, 13))[0]
+    graded = (left * 10.0 ** -np.arange(13)) @ right.T
+    return {
+        "rank2": (GridField(ts, xs, values), 2),
+        "outer": (GridField(t65, x33, np.outer(t65, x33)), 1),
+        "random": (GridField(t65, x33, rng.randn(65, 33)), 33),
+        "graded": (GridField(t65, x33, graded), 13),
+    }
+
+
+@pytest.mark.parametrize("name", ["rank2", "outer", "random", "graded"])
+def test_grid_rank_expansion_term_count_and_reproduction(name):
+    grid, rank = _rank_grids()[name]
+    terms = grid.separable_terms()
+    assert len(terms) == rank
+    m, n = grid.values.shape
+    bound = 4 * max(m, n) * np.finfo(float).eps * np.linalg.norm(grid.values, 2)
+    nodal = sum(np.outer(g.values, h.values) for g, h in terms)
+    assert np.max(np.abs(nodal - grid.values)) <= bound
+    rng = np.random.RandomState(8)
+    t = rng.uniform(grid.ts[0], grid.ts[-1], 2000)
+    x = rng.uniform(grid.xs[0], grid.xs[-1], 2000)
+    expanded = sum(g(t) * h(x) for g, h in terms)
+    assert np.max(np.abs(expanded - grid.eval(t, x))) <= bound
+
+
+def test_zero_grid_has_one_zero_term_and_integrates_to_zero():
+    grid = GridField(np.linspace(0.0, 1.0, 9), np.linspace(-2.0, 2.0, 5), np.zeros((9, 5)))
+    (g, h), = grid.separable_terms()
+    assert not np.any(g.values)
+    phi = make_function("sin")
+    reg = Regularity(0.7, 1.0, 0.6)
+    rep = integrate_fractional(grid, phi, reg, 0.0, 1.0)
+    assert rep.value == 0.0
+    assert "holder" not in rep.bound_ratios
+    assert integrate_sewing(grid, phi, 0.0, 1.0)[0].value == 0.0
+    norms = holder_seminorm_field(grid, reg, 0.0, 1.0, (-1.0, 1.0))
+    assert (norms.rect_term, norms.time_term, norms.space_term) == (0.0, 0.0, 0.0)
+
+
+def test_grid_rank_terms_computed_once(monkeypatch):
+    grid, rank = _rank_grids()["rank2"]
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    first = grid.separable_terms()
+    first.append(first[0])
+    first.clear()
+    second = grid.separable_terms()
+    assert len(calls) == 1
+    assert len(second) == rank
+    assert all(a is b for a, b in zip(second, grid.separable_terms()))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["rank2", "random"])
+def test_grid_rank_expansion_matches_hat_expansion(name):
+    ts, xs, values, phi = _rank2_grid_and_path()
+    if name == "random":
+        values = np.random.RandomState(4).randn(*values.shape)
+    grid, hats = GridField(ts, xs, values), _HatGrid(ts, xs, values)
+    reg = Regularity(0.7, 1.0, 0.6)
+    got = integrate_fractional(grid, phi, reg, 0.0, 1.0, with_bounds=False)
+    want = integrate_fractional(hats, phi, reg, 0.0, 1.0, with_bounds=False)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    box = (float(xs[0]), float(xs[-1]))
+    rep = holder_seminorm_field(grid, reg, 0.0, 1.0, box)
+    ref = holder_seminorm_field(hats, reg, 0.0, 1.0, box)
+    assert rep.rect_term == pytest.approx(ref.rect_term, rel=1e-13)
+    assert rep.time_term == pytest.approx(ref.time_term, rel=1e-13)
+    assert rep.space_term == pytest.approx(ref.space_term, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # field seminorms
 
@@ -237,11 +415,15 @@ def _seminorm_media():
     )
     small = GridField(np.linspace(0.0, 1.0, 65), np.linspace(-1.0, 1.0, 33), rng.randn(65, 33))
     large = GridField(np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 65), rng.randn(257, 65))
+    ts, xs = np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 65)
+    a_t, b_t = (make_weierstrass(0.7, 8, phases=list(rng.uniform(0.0, 6.0, 8)))(ts) for _ in range(2))
+    rank2 = GridField(ts, xs, a_t[:, None] * xs[None, :] + b_t[:, None] * np.sin(1.3 * xs[None, :] + 0.4))
     return {
         "product": product,
         "diagonal": DiagonalField(product, sample_function(np.cos, -1.0, 1.0, 256)),
         "grid-65x33": small,
         "grid-257x65": large,
+        "grid-rank2": rank2,
         "sum": SumField(product, small),
         "difference": DifferenceField(product, small),
     }

@@ -25,13 +25,12 @@ from .quadrature import (
     SPLIT_RADIUS,
     QuadratureConfig,
     QuadResult,
-    hat_weights,
+    grid_plan,
     marchaud_conv,
     refine_levels,
     singular_cells,
     singular_sum,
     two_sided_cells,  # unused here, but perfbench/spans.py wraps it in this module
-    two_sided_grid_sum,
 )
 
 __all__ = [
@@ -212,30 +211,29 @@ def dl_dr_sampled(fv, gv, gam: float, a: float, b: float, cfg: QuadratureConfig)
     Both Marchaud sums at every node are FFT convolutions, and the outer
     weights (t-a)^(-gam), (b-t)^(gam-1) are integrated exactly on each half
     of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
-    at the scheme's error order min(2-gam, 1+gam).  The arguments are not
-    validated again: dl_dr_integral states what they must satisfy.
+    at the scheme's error order min(2-gam, 1+gam).  The kernels, ramps and
+    outer weights come from quadrature.grid_plan(gam, N), which keeps them
+    across solves on small grids.  The arguments are not validated again:
+    dl_dr_integral states what they must satisfy.
 
     fv and gv may also hold K rows each; the result is then
     sum_k int f_k dg_k, with the rows' integrands summed at the nodes before
     the outer sum and the one extrapolation.
     """
     big_n = cfg.grid_cells()
-    # a cell's weights do not depend on N: the finest level's serve all three
-    w_left, w_right = hat_weights(-gam - 1.0, big_n + 1), hat_weights(gam - 2.0, big_n + 1)
-    w_a, w_b = hat_weights(-gam, big_n // 2), hat_weights(gam - 1.0, big_n // 2)
+    plan = grid_plan(gam, big_n)
     pref = -1.0 / (gamma(1.0 - gam) * gamma(gam))
 
     def evaluate(n: int) -> float:
         fn, gn = fv[..., :: big_n // n], gv[..., :: big_n // n]
-        j = np.arange(n + 1.0)
-        dl_hat = marchaud_conv(fn, *w_left)  # becomes (t-a)^gam Gamma(1-gam) DL f
-        dl_hat *= gam * j**gam
+        dl_hat = marchaud_conv(fn, plan.kernel(n, 0))  # becomes (t-a)^gam Gamma(1-gam) DL f
+        dl_hat *= plan.ramp(n, 0)
         dl_hat += fn
-        dr_hat = marchaud_conv(gn[..., ::-1], *w_right)[..., ::-1]
-        dr_hat *= (1.0 - gam) * j[::-1] ** (1.0 - gam)
+        dr_hat = marchaud_conv(gn[..., ::-1], plan.kernel(n, 1))[..., ::-1]
+        dr_hat *= plan.ramp(n, 1)
         dr_hat += gn - gn[..., -1:]
         dl_hat *= dr_hat
-        return pref * two_sided_grid_sum(dl_hat.reshape(-1, n + 1).sum(axis=0), -gam, gam - 1.0, w_a, w_b)
+        return pref * plan.outer_sum(dl_hat.reshape(-1, n + 1).sum(axis=0))
 
     return refine_levels(evaluate, big_n, cfg.tol, order=min(2.0 - gam, 1.0 + gam))
 

@@ -505,13 +505,15 @@ def indefinite_integral(
 ) -> IndefiniteResult:
     """t_i -> int_a^(t_i) W(ds, phi_s) on a uniform grid, built by additivity.
 
-    Each increment is one fractional evaluation on [t_(i-1), t_i]; the
-    regression_slope diagnostic fits log(median |increment|) against
-    log(lag) over dyadic lags and should sit near tau.
+    Each increment is one fractional evaluation on [t_(i-1), t_i], by
+    default at QuadratureConfig(n_outer=96): 576 grid cells, so all of them
+    share one kept quadrature.grid_plan.  The regression_slope diagnostic
+    fits log(median |increment|) against log(lag) over dyadic lags and
+    should sit near tau.
     """
     if n_points < 9:
         raise ValueError("need n_points >= 9")
-    cfg = cfg or QuadratureConfig(n_nodes=512, n_outer=96)
+    cfg = cfg or QuadratureConfig(n_outer=96)
     ts = np.linspace(a, b, n_points)
     increments = np.empty(n_points - 1)
     err = 0.0

@@ -17,11 +17,16 @@ power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
 a relative floor; `singular_sum` models the part below it (linearly in u).
 On the uniform grid G is piecewise linear and u^p is integrated exactly
 against each hat function (`hat_weights`), so the Marchaud sums at all nodes
-are one FFT convolution (`marchaud_conv`, after Lubich 1986).  The graded
-meshes serve the single-point operators (fractional integrals, Weyl
-derivatives); the uniform grid serves the Young integral and the nonlinear
-integral, whose four-term expansion is computed as sum_k int h_k(phi) dg_k
-over the medium's separable terms, with the terms as rows of one grid.
+are one FFT convolution (`marchaud_conv`, after Lubich 1986), and the outer
+weights of a two-sided integral are exact on each half of the grid.  A
+`GridPlan` holds all of this for one order and grid: the four hat-weight
+pairs and, per Richardson level, both Marchaud kernels, both power ramps and
+the outer weights; `grid_plan` keeps that of the last small grid, so many
+solves on one grid build it once.  The graded meshes serve the single-point
+operators (fractional integrals, Weyl derivatives); the uniform grid serves
+the Young integral and the nonlinear integral, whose four-term expansion is
+computed as sum_k int h_k(phi) dg_k over the medium's separable terms, with
+the terms as rows of one grid.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +46,10 @@ __all__ = [
     "singular_sum",
     "two_sided_cells",
     "hat_weights",
+    "marchaud_kernel",
     "marchaud_conv",
-    "two_sided_grid_sum",
+    "GridPlan",
+    "grid_plan",
     "refine_levels",
 ]
 
@@ -236,33 +243,14 @@ def two_sided_cells(
     return weights, nodes, dist_a, dist_b
 
 
-# Many solves on one small grid (an indefinite integral makes one per
-# subinterval) would rebuild the same weights, so those of grids up to
-# _CACHED_HAT_CELLS cells are kept, 8 pairs at most: 0.5 MB in all.  Larger
-# grids are not kept, because their weights would outlive their solve by
-# megabytes each.
-_CACHED_HAT_CELLS = 4097
-
-
 def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo_k = int_k^(k+1) (k+1-u) u^p du and hi_k = int_k^(k+1) (u-k) u^p du.
 
     These are the moments of u^p against the two hat functions of each unit
     cell k = 0..n-1.  Requires p > -2, p != -1; for p < -1 lo_0 diverges and
     is returned as 0 (a Marchaud sum multiplies it by a zero difference).
-    The arrays are read-only, since those of small grids are shared.
+    The arrays are read-only, since a kept GridPlan shares them.
     """
-    if n <= _CACHED_HAT_CELLS:
-        return _cached_hat_weights(p, n)
-    return _build_hat_weights(p, n)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _build_hat_weights(p, n)
-
-
-def _build_hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     q1, q2 = p + 1.0, p + 2.0
     if q2 <= 0.0 or q1 == 0.0:
         raise ValueError(f"hat weights need p > -2 and p != -1, got {p}")
@@ -290,34 +278,144 @@ def _build_hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, mass
 
 
-def marchaud_conv(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+class MarchaudKernel(NamedTuple):
+    """marchaud_conv's kernel on n cells, with c_m = lo_m + hi_(m-1), m = 1..n.
+
+    It holds lo_1..lo_n and either c, from which marchaud_conv builds the
+    spectrum rfft(c, 2n) and the partial sums cumsum(c) where it uses them
+    and frees them after, or (the kernels of a kept GridPlan) those two."""
+
+    lo: np.ndarray
+    c: np.ndarray | None
+    spectrum: np.ndarray | None = None
+    total: np.ndarray | None = None
+
+
+def marchaud_kernel(lo: np.ndarray, hi: np.ndarray, n: int, keep: bool = False) -> MarchaudKernel:
+    """The kernel of u^p on n cells from (lo, hi) = hat_weights(p, m > n),
+    holding its spectrum and partial sums if it is to be kept."""
+    c = lo[1 : n + 1] + hi[:n]
+    if not keep:
+        return MarchaudKernel(lo[1 : n + 1], c)
+    return MarchaudKernel(lo[1 : n + 1], None, np.fft.rfft(c, 2 * n), np.cumsum(c))
+
+
+def marchaud_conv(values: np.ndarray, kernel: MarchaudKernel) -> np.ndarray:
     """int_0^j [v(j) - v(j-u)] u^p du at every node j = 0..n, by one FFT.
 
     v interpolates values = v_0..v_n (the last axis; leading axes are
-    independent rows) linearly between unit-spaced nodes and
-    (lo, hi) = hat_weights(p, m > n).  With c_m = lo_m + hi_(m-1) the sum at
-    j is sum_(m=1..j) c_m (v_j - v_(j-m)) - lo_j (v_j - v_0).
+    independent rows) linearly between unit-spaced nodes, and kernel is
+    marchaud_kernel(lo, hi, n) for (lo, hi) = hat_weights(p, m > n).  The sum
+    at j is sum_(m=1..j) c_m (v_j - v_(j-m)) - lo_j (v_j - v_0).
     """
     n = values.shape[-1] - 1
-    c = lo[1 : n + 1] + hi[:n]
-    conv = np.fft.irfft(np.fft.rfft(c, 2 * n) * np.fft.rfft(values[..., :-1], 2 * n), 2 * n)[..., :n]
+    if kernel.spectrum is None:  # a temporary, freed once multiplied
+        conv = np.fft.rfft(kernel.c, 2 * n) * np.fft.rfft(values[..., :-1], 2 * n)
+    else:
+        conv = kernel.spectrum * np.fft.rfft(values[..., :-1], 2 * n)
+    conv = np.fft.irfft(conv, 2 * n)[..., :n]
     out = np.zeros(values.shape)
-    np.multiply(values[..., 1:], np.cumsum(c), out=out[..., 1:])
+    total = np.cumsum(kernel.c) if kernel.total is None else kernel.total
+    np.multiply(values[..., 1:], total, out=out[..., 1:])
     out[..., 1:] -= conv
-    out[..., 1:] -= lo[1 : n + 1] * (values[..., 1:] - values[..., :1])
+    out[..., 1:] -= kernel.lo * (values[..., 1:] - values[..., :1])
     return out
 
 
-def two_sided_grid_sum(values: np.ndarray, p_a: float, p_b: float, w_a, w_b) -> float:
-    """int_0^n u^p_a (n-u)^p_b F(u) du from F at the unit-spaced nodes 0..n, n even.
+class GridPlan:
+    """The operator of fraccalc.dl_dr_sampled at order gam on a grid of `cells` unit cells.
 
-    Each half integrates its endpoint's power against the hat functions (w_a,
-    w_b = hat_weights(p_a | p_b, m >= n/2)), the other power at the nodes."""
-    half = (values.size - 1) // 2
-    dist = 2 * half - np.arange(half + 1.0)  # to the far end
-    left = (np.concatenate([w_a[0][:half], [0.0]]) + np.concatenate([[0.0], w_a[1][:half]])) * dist**p_b
-    right = (np.concatenate([w_b[0][:half], [0.0]]) + np.concatenate([[0.0], w_b[1][:half]])) * dist**p_a
-    return float(left @ values[: half + 1] + right @ values[::-1][: half + 1])
+    It owns the four hat-weight pairs: those of u^(-gam-1) and u^(gam-2),
+    the left and right Marchaud kernels, on cells + 1 cells, and those of
+    u^(-gam) and u^(gam-1), the outer weights, on cells/2.  A cell's weights
+    do not depend on the number of cells, so these serve every level n that
+    divides `cells`.  From them come, at level n, each side's Marchaud
+    kernel and power ramp and the outer weights.  A kept plan (see
+    grid_plan) keeps each of these parts once built; any other builds a
+    part when asked and holds none, so a large grid's solve holds only the
+    part in use.  Every array is read-only.
+    """
+
+    def __init__(self, gam: float, cells: int, keep: bool = False) -> None:
+        self.gam = gam
+        self.weights = (
+            hat_weights(-gam - 1.0, cells + 1),
+            hat_weights(gam - 2.0, cells + 1),
+            hat_weights(-gam, cells // 2),
+            hat_weights(gam - 1.0, cells // 2),
+        )
+        self._parts: dict | None = {} if keep else None
+
+    def _part(self, key, build):
+        if self._parts is not None and key in self._parts:
+            return self._parts[key]
+        part = build()
+        for arr in part if isinstance(part, tuple) else (part,):
+            if arr is not None:
+                arr.flags.writeable = False
+        if self._parts is not None:
+            self._parts[key] = part
+        return part
+
+    def kernel(self, n: int, side: int) -> MarchaudKernel:
+        """The Marchaud kernel of u^(-gam-1) (side 0, toward a) or u^(gam-2) (side 1) on n cells."""
+        keep = self._parts is not None
+        return self._part(("kernel", n, side), lambda: marchaud_kernel(*self.weights[side], n, keep))
+
+    def ramp(self, n: int, side: int) -> np.ndarray:
+        """gam j^gam (side 0) or (1-gam) (n-j)^(1-gam) (side 1) at the nodes j = 0..n."""
+
+        def build():
+            j = np.arange(n + 1.0)
+            if side == 0:
+                return self.gam * j**self.gam
+            return (1.0 - self.gam) * j[::-1] ** (1.0 - self.gam)
+
+        return self._part(("ramp", n, side), build)
+
+    def outer(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) with int_0^n u^(-gam) (n-u)^(gam-1) F(u) du = left @ F_0..F_(n/2)
+        + right @ F_n..F_(n/2), for F piecewise linear between the nodes 0..n, n even.
+
+        Each half integrates its endpoint's power against the hat functions,
+        the other power at the nodes."""
+
+        def build():
+            half = n // 2
+            a, b = (
+                np.concatenate([lo[:half], [0.0]]) + np.concatenate([[0.0], hi[:half]])
+                for lo, hi in self.weights[2:]
+            )
+            dist = 2 * half - np.arange(half + 1.0)  # to the far end
+            return a * dist ** (self.gam - 1.0), b * dist ** (-self.gam)
+
+        return self._part(("outer", n), build)
+
+    def outer_sum(self, values: np.ndarray) -> float:
+        """int_0^n u^(-gam) (n-u)^(gam-1) F(u) du from F at the nodes 0..n (values), n even."""
+        half = (values.size - 1) // 2
+        left, right = self.outer(values.size - 1)
+        return float(left @ values[: half + 1] + right @ values[::-1][: half + 1])
+
+
+# An indefinite integral makes one solve per subinterval, all on one grid at
+# one order, so the plan of a grid of up to _CACHED_PLAN_CELLS cells is kept,
+# the last one only: a 4096-cell plan holds 0.81 MB once its three levels are
+# built, 0.29 MB of it hat weights.  Larger grids build their plan for each
+# solve; it holds their hat weights, and each other part only while in use.
+_CACHED_PLAN_CELLS = 4097
+
+
+def grid_plan(gam: float, cells: int) -> GridPlan:
+    """The GridPlan of order gam on `cells` cells: kept for small grids, new for others."""
+    if cells <= _CACHED_PLAN_CELLS:
+        return _kept_plan(gam, cells)
+    return GridPlan(gam, cells)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_plan(gam: float, cells: int) -> GridPlan:
+    return GridPlan(gam, cells, keep=True)
 
 
 def refine_levels(

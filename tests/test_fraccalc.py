@@ -4,10 +4,13 @@ from math import gamma
 import numpy as np
 import pytest
 
+from nlyoung import quadrature
 from nlyoung.fraccalc import (
     dl_dr_integral,
+    dl_dr_sampled,
     frac_integral_left,
     frac_integral_right,
+    grid_rows,
     riemann_stieltjes_midpoint,
     smooth_parts_identity_check,
     weyl_left,
@@ -220,3 +223,16 @@ def test_dl_dr_requires_admissible_orders():
         dl_dr_integral(np.sin, np.cos, 0.5, 0.0, 1.0, mu_f=0.4, beta_g=1.0)
     with pytest.raises(ValueError):
         dl_dr_integral(np.sin, np.cos, 0.5, 0.0, 1.0, mu_f=1.0, beta_g=0.4)
+
+
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_dl_dr_sampled_cold_and_warm_plan_bitwise_equal(n_rows):
+    # 576 cells, an indefinite integral's grid: the plan is kept after the first solve
+    cfg = QuadratureConfig(n_outer=96)
+    fv = grid_rows([lambda t, k=k: np.sin((k + 1.0) * t) for k in range(n_rows)], 0.2, 0.7, cfg)
+    gv = grid_rows([lambda t, k=k: np.cos(t / (k + 1.0)) for k in range(n_rows)], 0.2, 0.7, cfg)
+    quadrature._kept_plan.cache_clear()
+    cold = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg)
+    assert quadrature.grid_plan(0.35, cfg.grid_cells()) is quadrature.grid_plan(0.35, cfg.grid_cells())
+    warm = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg)
+    assert cold == warm

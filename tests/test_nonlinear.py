@@ -599,6 +599,32 @@ def test_indefinite_linear_case():
     np.testing.assert_allclose(res.path.values, res.path.ts**2 / 2.0, atol=1e-5)
 
 
+def test_indefinite_one_fractional_call_per_increment(monkeypatch):
+    # perfbench's many-short times each subinterval by wrapping the module's
+    # integrate_fractional: one call per increment, its value the increment
+    from nlyoung import nonlinear
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        calls.append((args[3], args[4], args[5], rep.value))
+        return rep
+
+    real = nonlinear.integrate_fractional
+    monkeypatch.setattr(nonlinear, "integrate_fractional", counted)
+    w = ProductField(np.sin, np.cos)
+    res = indefinite_integral(w, ident, SMOOTH, 0.0, 1.0, n_points=17)
+    assert len(calls) == 16
+    assert [(a, b) for a, b, _, _ in calls] == list(zip(res.path.ts[:-1], res.path.ts[1:]))
+    assert {cfg.grid_cells() for _, _, cfg, _ in calls} == {576}
+    values = np.concatenate([[0.0], np.cumsum([v for *_, v in calls])])
+    assert np.array_equal(res.path.values, values)
+    # n_nodes shapes nothing on the fractional route
+    old = indefinite_integral(w, ident, SMOOTH, 0.0, 1.0, n_points=17, cfg=QuadratureConfig(n_nodes=512, n_outer=96))
+    assert np.array_equal(res.path.values, old.path.values)
+
+
 def test_indefinite_requires_enough_points():
     w = ProductField(np.sin, one)
     with pytest.raises(ValueError):

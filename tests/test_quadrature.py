@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from nlyoung.quadrature import (
     QuadratureConfig,
+    grid_plan,
     hat_weights,
     marchaud_conv,
+    marchaud_kernel,
     power_cells,
     refine_levels,
     singular_cells,
     singular_sum,
     two_sided_cells,
-    two_sided_grid_sum,
 )
 
 
@@ -166,12 +167,33 @@ def test_hat_weights_reject_bad_powers():
 
 @pytest.mark.parametrize("n", [577, 5000])
 def test_hat_weights_read_only_and_kept_for_small_grids_only(n):
-    lo, hi = hat_weights(-1.3, n)
-    assert not lo.flags.writeable and not hi.flags.writeable
-    again = hat_weights(-1.3, n)
-    assert np.array_equal(lo, again[0]) and np.array_equal(hi, again[1])
-    # small grids share one pair; large ones are built per call, so the cache stays small
-    assert (again[0] is lo) == (n <= 4097)
+    # the hat weights live in the grid's plan; small grids share one plan,
+    # large ones build theirs per call, so the cache stays small
+    plan = grid_plan(0.3, n)
+    again = grid_plan(0.3, n)
+    for (lo, hi), (lo2, hi2) in zip(plan.weights, again.weights):
+        assert not lo.flags.writeable and not hi.flags.writeable
+        assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
+        assert (lo2 is lo) == (n <= 4097)
+    assert (again is plan) == (n <= 4097)
+
+
+@pytest.mark.parametrize("cells", [576, 4096, 4104])
+def test_grid_plan_parts_read_only_and_kept_for_small_grids_only(cells):
+    kept = cells <= 4097
+    plan = grid_plan(0.4, cells)
+    kernel, ramp, outer = plan.kernel(cells, 0), plan.ramp(cells, 0), plan.outer(cells)
+    # a kept plan's kernels hold their spectrum and partial sums; a large
+    # grid's leave them to marchaud_conv, which frees each after use
+    assert (kernel.spectrum is not None) == kept and (kernel.total is not None) == kept
+    parts = [*kernel, *plan.kernel(cells // 4, 1), ramp, plan.ramp(cells // 2, 1), *outer]
+    assert not any(arr.flags.writeable for arr in parts if arr is not None)
+    assert (plan.kernel(cells, 0) is kernel) == kept
+    assert (plan.ramp(cells, 0) is ramp) == kept
+    assert (plan.outer(cells) is outer) == kept
+    assert (grid_plan(0.4, cells) is plan) == kept
+    # one plan is kept: another order replaces it
+    assert grid_plan(0.6, cells) is not plan
 
 
 @pytest.mark.parametrize("p", [-1.8, -1.5, -1.2])
@@ -184,17 +206,19 @@ def test_marchaud_conv_matches_direct_sum(p, n):
         sum((v[j] - v[j - k]) * lo[k] + (v[j] - v[j - k - 1]) * hi[k] for k in range(j))
         for j in range(n + 1)
     ]
-    np.testing.assert_allclose(marchaud_conv(v, lo, hi), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(marchaud_conv(v, marchaud_kernel(lo, hi, n)), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 7, 576])
 def test_marchaud_conv_rows_equal_one_dimensional_calls(n):
     # a stack of rows runs each row as its own call would, bit for bit
-    lo, hi = hat_weights(-1.4, n + 1)
+    weights = hat_weights(-1.4, n + 1)
     rows = np.random.default_rng(n).normal(size=(3, n + 1))
-    got = marchaud_conv(rows[:, ::-1], lo, hi)
+    got = marchaud_conv(rows[:, ::-1], marchaud_kernel(*weights, n))
+    # and a kernel holding its spectrum and partial sums gives the same bits
+    assert np.array_equal(got, marchaud_conv(rows[:, ::-1], marchaud_kernel(*weights, n, keep=True)))
     for k in range(3):
-        assert np.array_equal(got[k], marchaud_conv(rows[k, ::-1].copy(), lo, hi))
+        assert np.array_equal(got[k], marchaud_conv(rows[k, ::-1].copy(), marchaud_kernel(*weights, n)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -209,17 +233,17 @@ def test_marchaud_conv_linear_data_exact(alpha, left, n, c0, c1):
     # v_j = c0 + c1 j: int_0^j c1 u^(p+1) du = c1 j^(p+2) / (p+2) at every node
     p = -alpha - 1.0 if left else alpha - 2.0
     j = np.arange(n + 1.0)
-    got = marchaud_conv(c0 + c1 * j, *hat_weights(p, n + 1))
+    got = marchaud_conv(c0 + c1 * j, marchaud_kernel(*hat_weights(p, n + 1), n))
     want = c1 * j ** (p + 2.0) / (p + 2.0)
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * (abs(c0) + abs(c1)))
 
 
-def test_two_sided_grid_sum_beta_integral():
-    # int_0^n u^(-1/2) (n-u)^(-1/3) du = n^(1/6) B(1/2, 2/3)
+def test_grid_plan_outer_weights_beta_integral():
+    # int_0^n u^(-1/3) (n-u)^(-2/3) du = B(2/3, 1/3), whatever n
     n = 4096
-    got = two_sided_grid_sum(np.ones(n + 1), -0.5, -1.0 / 3.0, hat_weights(-0.5, n // 2), hat_weights(-1.0 / 3.0, n // 2))
-    beta = math.gamma(0.5) * math.gamma(2.0 / 3.0) / math.gamma(0.5 + 2.0 / 3.0)
-    assert got == pytest.approx(n ** (1.0 / 6.0) * beta, rel=1e-5)
+    got = grid_plan(1.0 / 3.0, n).outer_sum(np.ones(n + 1))
+    beta = math.gamma(2.0 / 3.0) * math.gamma(1.0 / 3.0)
+    assert got == pytest.approx(beta, rel=1e-5)
 
 
 def test_refine_levels_fixed_order():

@@ -32,7 +32,7 @@ for mu in (0.3, 0.5, 0.9, 1.0):
 
 # derivative after integral returns the original function
 inner = QuadratureConfig(n_nodes=512)
-outer = QuadratureConfig(n_nodes=1024, tail_floor=1e-4)
+outer = QuadratureConfig(n_nodes=1024)
 
 
 def int_half_cos(s):

@@ -243,8 +243,8 @@ def cmd_frac(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="directory for report files")
     p.add_argument("--quad", default=None,
-                   help="quadrature overrides from the keys n (n_nodes), n_outer, tail_floor "
-                        "and tol, e.g. n=4096,tol=1e-8")
+                   help="quadrature overrides from the keys n (n_nodes, a multiple of 4), "
+                        "n_outer and tol, e.g. n=4096,tol=1e-8")
     p.add_argument("--no-timestamp", action="store_true", help="omit timing for byte-identical reports")
 
 
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=float, default=1.0,
+                   help="Holder order of f, above alpha; sets the Weyl derivative's extrapolation order")
     _add_common(p)
     p.set_defaults(func=cmd_frac)
 

@@ -166,7 +166,7 @@ def parse_quad_fragment(text: str) -> dict:
             key = "n_nodes"
         if key in ("n_nodes", "n_outer"):
             convert = int
-        elif key in ("tail_floor", "tol"):
+        elif key == "tol":
             convert = float
         else:
             raise SpecValidationError(f"unknown quadrature option {key!r}")

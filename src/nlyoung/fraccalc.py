@@ -6,11 +6,12 @@ composed formulas this package evaluates, where they multiply to -1; that sign
 is applied explicitly at each composition site rather than tracked per
 operator.
 
-Each operator has one sided body that evaluates f at t + side*u for the
-distance u from t (side -1 looks left toward a, +1 right toward b); the
-public left/right functions only fix the side.  These run on graded meshes
-through quadrature.singular_sum; dl_dr_integral, which needs Marchaud sums at
-every point, on a uniform grid.  The gamma function is math.gamma.
+Each operator has one sided body that samples f at the n_nodes + 1 uniform
+nodes t + side*u, u from 0 to the interval's length (side -1 looks left
+toward a, +1 right toward b); the public left/right functions only fix the
+side.  Every operator, and dl_dr_integral, which needs Marchaud sums at
+every node, integrates its power kernel exactly against the hat functions
+of a uniform grid (quadrature.hat_weights).  The gamma function is math.gamma.
 """
 
 from __future__ import annotations
@@ -22,16 +23,19 @@ import numpy as np
 
 from .paths import path_diff, sample_uniform
 from .quadrature import (
-    SPLIT_RADIUS,
     QuadratureConfig,
     QuadResult,
     grid_plan,
+    hat_weights,
     marchaud_conv,
+    marchaud_kernel,
     refine_levels,
-    singular_cells,
-    singular_sum,
-    two_sided_cells,  # unused here, but perfbench/spans.py wraps it in this module
 )
+
+# placeholders for the mesh builders that perfbench/spans.py wraps by name, its
+# only reader; the benchmark change that moves spans.py onto a library-side
+# trace (ROADMAP item 1) deletes them
+singular_cells = two_sided_cells = None
 
 __all__ = [
     "frac_integral_left",
@@ -57,35 +61,49 @@ def _require_interval(a: float, b: float, names: tuple[str, str] = ("a", "b")) -
         raise ValueError(f"need finite {lo} < {hi}, got {lo}={a}, {hi}={b}")
 
 
-def _side_point(lo: float, hi: float, side: float) -> float:
-    """The evaluation point t of a sided operator on [lo, hi]: hi for the
-    left side, lo for the right one; rejects an empty or unbounded interval."""
+def _side_nodes(lo: float, hi: float, side: float, n: int) -> np.ndarray:
+    """The n + 1 uniform nodes of a sided operator on [lo, hi], from its
+    evaluation point t = nodes[0] to the far end, which is met exactly: hi
+    down to lo for the left side, lo up to hi for the right one; rejects an
+    empty or unbounded interval."""
     _require_interval(lo, hi, ("a", "t") if side < 0 else ("t", "b"))
-    return hi if side < 0 else lo
+    return np.linspace(hi, lo, n + 1) if side < 0 else np.linspace(lo, hi, n + 1)
+
+
+def _finite(values, lo: float, hi: float) -> np.ndarray:
+    """The samples as floats; f is sampled at both ends, so one that is
+    infinite there (an integrable singularity) is rejected, not integrated."""
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"f must be finite on the closed interval [{lo}, {hi}], got a non-finite sample")
+    return v
 
 
 def _frac_integral(f, alpha: float, lo: float, hi: float, side: float, cfg: QuadratureConfig | None) -> QuadResult:
     cfg = cfg or QuadratureConfig()
     _require_order(alpha)
-    t = _side_point(lo, hi, side)
+    n = cfg.n_nodes
+    fv = _finite(f(_side_nodes(lo, hi, side, n)), lo, hi)
     length = hi - lo
+    w_lo, w_hi = hat_weights(alpha - 1.0, n)
     inv_gamma = 1.0 / gamma(alpha)
 
-    def evaluate(n: int) -> float:
-        mass, cent = singular_cells(length, alpha - 1.0, n, cfg.tail_floor)
-        return inv_gamma * float(mass @ np.asarray(f(t + side * cent), dtype=float))
+    def evaluate(m: int) -> float:
+        fm = fv[:: n // m]
+        return inv_gamma * (length / m) ** alpha * float(w_lo[:m] @ fm[:-1] + w_hi[:m] @ fm[1:])
 
-    return refine_levels(evaluate, cfg.n_nodes, cfg.tol)
+    return refine_levels(evaluate, n, cfg.tol, order=2.0)
 
 
 def frac_integral_left(f, alpha: float, a: float, t: float, cfg: QuadratureConfig | None = None) -> QuadResult:
     """(1/Gamma(alpha)) int_a^t (t-s)^(alpha-1) f(s) ds.
 
-    Quadrature: substitute u = t - s and integrate u^(alpha-1) exactly over
-    cells graded into the singular end u = 0, evaluating f at the
-    kernel-weighted centroid of each cell.  The value is Richardson-refined
-    from three cell counts; error_estimate and the node-doubling convergence
-    flag come from the same levels.
+    Quadrature: substitute u = t - s, take f piecewise linear between
+    cfg.n_nodes + 1 uniform nodes and integrate u^(alpha-1) exactly against
+    each hat function.  The value is Richardson-refined at order 2 from three
+    nested cell counts; error_estimate and the node-doubling convergence flag
+    come from the same levels.  f is sampled at both ends, so it must be
+    finite on the closed interval: a non-finite sample raises ValueError.
     """
     return _frac_integral(f, alpha, a, t, -1.0, cfg)
 
@@ -104,28 +122,29 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
     _require_order(alpha)
     if holder_mu <= alpha:
         raise ValueError(f"need holder_mu > alpha, got mu={holder_mu}, alpha={alpha}")
-    t = _side_point(lo, hi, side)
-    length = hi - lo
+    n = cfg.n_nodes
+    nodes = _side_nodes(lo, hi, side, n)
+    t = float(nodes[0])
     ft = _scalar(f(t))
+    d = _finite(path_diff(f, t, nodes), lo, hi)
+    length = hi - lo
+    weights = hat_weights(-alpha - 1.0, n + 1)
     boundary = ft / length**alpha
     pref = 1.0 / gamma(1.0 - alpha)
-    p = -alpha - 1.0
-    # the far band is graded for integrands rough at distance `length`
-    far_g = min(8.0, max(1.0, 2.0 / holder_mu))
-    f_max = [abs(ft)]  # over the nodes of the latest level
 
-    def evaluate(n: int) -> float:
-        # cells built at the true scale (scale factor 1, absolute floor):
-        # rescaled reference cells add rounding that this kernel amplifies
-        mass, cent = singular_cells(length, p, n, cfg.tail_floor, far_g, SPLIT_RADIUS)
-        d = np.asarray(path_diff(f, t, t + side * cent), dtype=float)
-        f_max[0] = max(abs(ft), float(np.max(np.abs(ft - d))))
-        s_int = singular_sum(d, 1.0, mass, cent, cfg.tail_floor * length, p)
-        return pref * (boundary + alpha * float(s_int))
+    def evaluate(m: int) -> float:
+        # the Marchaud sum int_0^length d(u) u^(-alpha-1) du at the grid's last node
+        k, dm = marchaud_kernel(*weights, m), d[:: n // m]
+        s_int = (length / m) ** -alpha * float(k.c @ dm[1:] - k.lo[-1] * dm[-1])
+        return pref * (boundary + alpha * s_int)
 
-    res = refine_levels(evaluate, cfg.n_nodes, cfg.tol)
-    # the kernel amplifies rounding in f down to the floor, which Richardson cannot see
-    round_off = np.finfo(float).eps * f_max[0] * (cfg.tail_floor * length) ** -alpha
+    # error order 2 - alpha where f is smooth, 1 + mu at the far end of a
+    # mu-Holder f, whose last cell the hat functions do not resolve
+    res = refine_levels(evaluate, n, cfg.tol, order=min(2.0 - alpha, 1.0 + holder_mu))
+    # the kernel amplifies rounding in f by the grid spacing's power, which
+    # Richardson cannot see
+    f_max = float(np.max(np.abs(ft - d)))
+    round_off = np.finfo(float).eps * f_max * (length / n) ** -alpha
     return QuadResult(res.value, res.error_estimate + round_off, res.converged, res.levels)
 
 
@@ -143,7 +162,8 @@ def weyl_left(
                              + alpha * int_a^t (f(t)-f(s)) (t-s)^(-alpha-1) ds ]
 
     holder_mu is the caller's Holder order of f and must exceed alpha; it sets
-    the far-end mesh grading.
+    the extrapolation order min(2 - alpha, 1 + holder_mu).  As for
+    frac_integral_left, f must be finite on the closed interval.
     """
     return _weyl(f, alpha, a, t, -1.0, holder_mu, cfg)
 
@@ -262,7 +282,7 @@ def smooth_parts_identity_check(
     cfg = cfg or QuadratureConfig()
     _require_order(alpha)
     classical = refine_levels(
-        lambda n: riemann_stieltjes_midpoint(f, g, a, b, n), cfg.n_nodes, cfg.tol
+        lambda n: riemann_stieltjes_midpoint(f, g, a, b, n), cfg.n_nodes, cfg.tol, order=2.0
     )
     fractional = dl_dr_integral(f, g, alpha, a, b, mu_f=1.0, beta_g=1.0, cfg=cfg)
     return abs(classical.value - fractional.value)

@@ -1,32 +1,26 @@
-"""Singular quadrature on graded meshes and on a uniform grid.
+"""Singular quadrature on a uniform grid.
 
 All integrals in this package reduce to the form
 
     integral_0^L  u^p * G(u) du
 
 with an endpoint power weight u^p and a factor G that is bounded (and usually
-Holder continuous) near u = 0.  On a graded mesh each cell contributes
-
-    m_k * G(c_k),      m_k = integral of u^p over the cell,
-                       c_k = u^p-weighted centroid of the cell,
-
-both in closed form, so the rule is exact whenever G is affine on a cell.  The
-mesh is algebraically graded toward u = 0, with edges L (k/n)^g and the
-exponent g chosen so the composite rule is second order for the kernel's
-power.  For p <= -1 (the Marchaud difference kernels) the edges are clipped at
-a relative floor; `singular_sum` models the part below it (linearly in u).
-On the uniform grid G is piecewise linear and u^p is integrated exactly
-against each hat function (`hat_weights`), so the Marchaud sums at all nodes
-are one FFT convolution (`marchaud_conv`, after Lubich 1986), and the outer
-weights of a two-sided integral are exact on each half of the grid.  A
-`GridPlan` holds all of this for one order and grid: the four hat-weight
-pairs and, per Richardson level, both Marchaud kernels, both power ramps and
-the outer weights; `grid_plan` keeps that of the last small grid, so many
-solves on one grid build it once.  The graded meshes serve the single-point
-operators (fractional integrals, Weyl derivatives); the uniform grid serves
-the Young integral and the nonlinear integral, whose four-term expansion is
-computed as sum_k int h_k(phi) dg_k over the medium's separable terms, with
-the terms as rows of one grid.
+Holder continuous) near u = 0.  G is sampled at uniform nodes and taken
+piecewise linear between them, and u^p is integrated exactly against each hat
+function (`hat_weights`).  For p <= -1 (the Marchaud difference kernels) G
+vanishes at u = 0 and the first cell's moment of u^(p+1) closes the sum.  A
+single point's operator is one dot product of the weights with the samples
+(the fractional integrals, the Weyl derivatives); the Marchaud sums at all nodes are one FFT convolution
+(`marchaud_conv`, after Lubich 1986), and the outer weights of a two-sided
+integral are exact on each half of the grid.  A `GridPlan` holds the latter
+for one order and grid: the four hat-weight pairs and, per Richardson level,
+both Marchaud kernels, both power ramps and the outer weights; `grid_plan`
+keeps that of the last small grid, so many solves on one grid build it once.
+The grid serves the Young integral and the nonlinear integral, whose
+four-term expansion is computed as sum_k int h_k(phi) dg_k over the medium's
+separable terms, with the terms as rows of one grid.  Every value is
+Richardson-extrapolated from three nested levels at the scheme's known error
+order (`refine_levels`).
 """
 
 from __future__ import annotations
@@ -41,10 +35,6 @@ import numpy as np
 __all__ = [
     "QuadratureConfig",
     "QuadResult",
-    "power_cells",
-    "singular_cells",
-    "singular_sum",
-    "two_sided_cells",
     "hat_weights",
     "marchaud_kernel",
     "marchaud_conv",
@@ -54,36 +44,30 @@ __all__ = [
 ]
 
 
-# relative radius below which an inner difference integral switches to its
-# near-singularity zone (the `split` of singular_cells)
-SPLIT_RADIUS = 1.0 / 16.0
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution knobs for the singular quadrature.
+    """Resolution knobs for the uniform-grid quadrature.
 
-    n_nodes is the cell count per singular direction of the graded
-    one-dimensional integrals (fractional integrals, Weyl derivatives).
-    n_outer sets the uniform grid, grid_cells() cells, on which the Young
-    integral and the nonlinear integral's four-term expansion, computed as
-    sum_k int h_k(phi) dg_k, are evaluated.  tail_floor is the relative scale
-    below which differences are modeled by the local power law instead of
-    being evaluated, and tol the relative node-doubling tolerance of the
+    n_nodes is the cell count of the single-point operators (fractional
+    integrals, Weyl derivatives), which sample f at n_nodes + 1 uniform nodes
+    from the evaluation point to the far end; it is a multiple of 4, so that
+    the levels n/4, n/2, n of refine_levels are exact.  n_outer sets the
+    grid, grid_cells() cells, on which the Young integral and the nonlinear
+    integral's four-term expansion, computed as sum_k int h_k(phi) dg_k, are
+    evaluated.  tol is the relative node-doubling tolerance of the
     convergence flag.
     """
 
     n_nodes: int = 4096
     n_outer: int = 512
-    tail_floor: float = 1e-12
     tol: float = 1e-5
 
     def __post_init__(self) -> None:
         for name in ("n_nodes", "n_outer"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
-        if not 0.0 < self.tail_floor < 1.0:
-            raise ValueError("tail_floor must lie in (0, 1)")
+        if self.n_nodes % 4:
+            raise ValueError(f"n_nodes must be a multiple of 4, got {self.n_nodes}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
 
@@ -103,144 +87,6 @@ class QuadResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def power_cells(edges: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact masses and centroids of u^p over the cells of an ascending mesh.
-
-    Returns (mass, centroid) with mass_k = int_{e_k}^{e_k+1} u^p du and
-    centroid_k = int u^{p+1} du / mass_k.  Requires p > -1 whenever the first
-    edge is 0.
-    """
-    e = np.asarray(edges, dtype=float)
-    width = e[1:] - e[:-1]
-    mid = 0.5 * (e[1:] + e[:-1])
-    with np.errstate(all="ignore"):
-        if p == -1.0:
-            mass = np.log(e[1:] / e[:-1])
-        else:
-            q = p + 1.0
-            mass = (e[1:] ** q - e[:-1] ** q) / q
-        q2 = p + 2.0
-        first = (e[1:] ** q2 - e[:-1] ** q2) / q2
-        centroid = first / mass
-    # thin cells: the closed forms cancel catastrophically, midpoint rule is exact enough
-    narrow = (width <= 1e-8 * np.abs(mid)) | ~np.isfinite(centroid)
-    if np.any(narrow):
-        mass = np.where(narrow, width * mid**p, mass)
-        centroid = np.where(narrow, mid, centroid)
-    # keep nodes strictly inside their cells despite rounding
-    centroid = np.minimum(np.maximum(centroid, e[:-1]), e[1:])
-    return mass, centroid
-
-
-def graded_edges(lo: float, hi: float, n: int, g: float) -> np.ndarray:
-    """n cells on [lo, hi] clustered toward hi with grading exponent g."""
-    xi = (np.arange(n + 1) / n) ** g
-    return hi - (hi - lo) * xi[::-1]
-
-
-def singular_cells(
-    length: float,
-    p: float,
-    n: int,
-    floor_rel: float,
-    far_grading: float = 1.0,
-    split: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells for int_0^length u^p G(u) du with the singular point at u=0.
-
-    The mesh is algebraically graded toward u=0 with the exponent giving a
-    second-order composite rule: 2/(p+1) for integrable weights (p > -1,
-    smooth G) and 2/(p+2) for difference kernels (p <= -1, where G vanishes
-    linearly at 0 on the scales the mesh resolves).  If split < 1 the grading
-    applies on [0, split*length] and the far band [split*length, length] is
-    graded toward u=length with exponent far_grading, for integrands rough at
-    the far end.
-
-    For p > -1 the first cell starts at 0 and carries its exact weight mass,
-    so nothing is dropped.  For p <= -1 cells are truncated at the relative
-    floor and the caller must model the remaining [0, floor] tail.
-
-    Returns (mass, centroid) arrays.
-    """
-    if length <= 0.0:
-        raise ValueError("length must be positive")
-    g = 2.0 / (p + 2.0) if p <= -1.0 else max(1.0, 2.0 / (p + 1.0))
-    if split < 1.0:
-        n_near = max(4, n // 2)
-        n_far = max(4, n - n_near)
-        near_hi = split * length
-        edges_near = near_hi * (np.arange(n_near + 1) / n_near) ** g
-        edges_far = graded_edges(near_hi, length, n_far, far_grading)
-        edges = np.concatenate([edges_near, edges_far[1:]])
-    else:
-        edges = length * (np.arange(n + 1) / n) ** g
-    if p <= -1.0:
-        floor = floor_rel * length
-        edges = np.unique(np.clip(edges, floor, length))
-        if edges[0] > floor:
-            edges = np.concatenate([[floor], edges])
-        if edges.size < 2:
-            edges = np.array([floor, length])
-    mass, centroid = power_cells(edges, p)
-    return mass, centroid
-
-
-def singular_sum(diff, length, mass, centroid, floor_rel: float, p: float):
-    """int_0^L D(u) u^p du for a difference D that vanishes at u = 0.
-
-    (mass, centroid) are cells from singular_cells(ell, p, ...) and length is
-    the factor they are scaled by, so L = length * ell and diff holds D at
-    length * centroid along its last axis (a mesh built at the true scale
-    passes length=1.0).  floor_rel * length is where the cells start.  length
-    broadcasts against diff[..., 0], so one call serves a vector of outer
-    nodes on one reference mesh.  Below the floor D is modeled as c * u with
-    c fitted at the innermost resolved node: the generators this package
-    works with (finite cosine series, piecewise-linear samples) are smooth
-    below their finest scale, which lies far above the floor.
-    """
-    q = p + 2.0
-    if q <= 0.0:
-        raise ValueError("difference tail does not converge; check exponents")
-    tail = diff[..., 0] / (length * centroid[0]) * (floor_rel * length) ** q / q
-    return length ** (p + 1.0) * (diff @ mass) + tail
-
-
-def two_sided_cells(
-    a: float,
-    b: float,
-    p_a: float,
-    p_b: float,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weights and nodes for int_a^b (t-a)^{p_a} (b-t)^{p_b} G(t) dt.
-
-    The interval is split at its midpoint; each half extracts its own endpoint
-    power exactly and folds the opposite (smooth there) power factor into the
-    weight at the node.  Requires p_a, p_b > -1.
-
-    Returns (weights, nodes, dist_a, dist_b) where dist_a = t - a and
-    dist_b = b - t are carried in exact cell coordinates: deeply graded nodes
-    can sit closer to an endpoint than float subtraction from the node could
-    resolve, and the singular power factors must be formed from the true
-    distances.
-    """
-    half = 0.5 * (b - a)
-    # both powers exceed -1, so singular_cells ignores the floor
-    m_lo, c_lo = singular_cells(half, p_a, n // 2, 0.0)
-    t_lo = a + c_lo
-    d_lo_b = (b - a) - c_lo
-    w_lo = m_lo * d_lo_b**p_b
-    m_hi, c_hi = singular_cells(half, p_b, n - n // 2, 0.0)
-    t_hi = b - c_hi
-    d_hi_a = (b - a) - c_hi
-    w_hi = m_hi * d_hi_a**p_a
-    nodes = np.concatenate([t_lo, t_hi[::-1]])
-    weights = np.concatenate([w_lo, w_hi[::-1]])
-    dist_a = np.concatenate([c_lo, d_hi_a[::-1]])
-    dist_b = np.concatenate([d_lo_b, c_hi[::-1]])
-    return weights, nodes, dist_a, dist_b
 
 
 def hat_weights(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,40 +268,23 @@ def refine_levels(
     evaluate: Callable[[int], float],
     n: int,
     tol: float,
-    order: float | None = None,
+    order: float,
 ) -> QuadResult:
-    """Run `evaluate` at cell counts n/4, n/2, n and Richardson-extrapolate.
+    """Run `evaluate` at cell counts n/4, n/2, n (n a multiple of 4) and
+    Richardson-extrapolate at the scheme's known error `order`.
 
-    At a known `order` the error estimate is the correction plus the coarser
-    levels' change carried to the finest.  Otherwise the order is fitted from
-    the two successive differences; if it is stable the extrapolated value is
-    returned with the extrapolation step as the error estimate, otherwise the
-    finest value with the last difference as the estimate.  `converged`
-    reflects the node-doubling test at 10*tol relative to |value|.
+    The error estimate is the correction plus the coarser levels' change
+    carried to the finest.  `converged` reflects the node-doubling test at
+    10*tol relative to |value|.
     """
-    ns = [max(8, n // 4), max(8, n // 2), n]
-    vals = [evaluate(k) for k in ns]
+    vals = [evaluate(k) for k in (n // 4, n // 2, n)]
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
     scale = max(abs(vals[2]), 1e-300)
     if abs(d2) <= 1e-15 * scale:
         return QuadResult(vals[2], abs(d2), True, tuple(vals))
     converged = bool(abs(d2) <= 10.0 * tol * scale)
-    if order is not None:
-        ratio = 2.0**order
-        corr = d2 / (ratio - 1.0)
-        err = abs(corr) + abs(d1) / (ratio * (ratio - 1.0))
-        return QuadResult(vals[2] + corr, err, converged, tuple(vals))
-    order = np.log2(abs(d1) / abs(d2)) if d1 != 0.0 else np.inf
-    if 1.5 <= order <= 2.5:
-        order = 2.0  # the composite rule's theoretical order; snapping keeps
-        # extrapolation linear in the integrand when the fit is only noise
-    if np.isfinite(order) and 0.5 <= order <= 4.5:
-        corr = d2 / (2.0**order - 1.0)
-        value = vals[2] + corr
-        # the correction magnitude plus a cushion for order-fit noise
-        err = abs(corr) + 0.5 * abs(d2)
-    else:
-        value = vals[2]
-        err = 1.5 * abs(d2)
-    return QuadResult(value, err, converged, tuple(vals))
+    ratio = 2.0**order
+    corr = d2 / (ratio - 1.0)
+    err = abs(corr) + abs(d1) / (ratio * (ratio - 1.0))
+    return QuadResult(vals[2] + corr, err, converged, tuple(vals))

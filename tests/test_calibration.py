@@ -4,7 +4,9 @@ Every medium here is W(t, x) = g(t) h(x) with g a finite cosine series, so
 int_a^b W(dt, phi_t) = int_a^b h(phi(t)) g'(t) dt has a smooth integrand that
 composite Gauss-Legendre quadrature resolves to float precision.  Each
 fractional and Young solve must land within 5 of its own error estimates of
-that oracle, over several seeded phase sets.
+that oracle, over several seeded phase sets.  The single-point operators
+(fractional integrals, Weyl derivatives) face the same oracle on a smooth f,
+after a substitution that takes their kernel's power out of the integrand.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from nlyoung.fields import ProductField, Regularity
+from nlyoung.fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
 from nlyoung.nonlinear import integrate_fractional
 from nlyoung.paths import make_function, make_weierstrass
 from nlyoung.quadrature import QuadratureConfig
@@ -62,13 +65,18 @@ def _derivative(w):
     return lambda t: -sum(a * f * np.sin(f * t + p) for a, f, p in zip(amps, freqs, w.phases))
 
 
-def oracle(g, h, phi, a=0.0, b=1.0, panels=2048):
-    """int_a^b h(phi(t)) g'(t) dt by 32-point composite Gauss-Legendre."""
+def _gauss(fn, a, b, panels):
+    """int_a^b fn(t) dt by 32-point composite Gauss-Legendre."""
     x, wts = np.polynomial.legendre.leggauss(32)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     t = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x[None, :]
-    return float(np.sum(half * wts * h(phi(t)) * _derivative(g)(t)))
+    return float(np.sum(half * wts * fn(t)))
+
+
+def oracle(g, h, phi, a=0.0, b=1.0, panels=2048):
+    """int_a^b h(phi(t)) g'(t) dt."""
+    return _gauss(lambda t: h(phi(t)) * _derivative(g)(t), a, b, panels)
 
 
 def test_oracle_resolves_the_series():
@@ -93,3 +101,51 @@ def test_young_within_estimates(seed):
     res = young_integral(f, g, 0.7, 0.6, 0.0, 1.0)
     err = abs(res.value - oracle(g, make_function("identity"), f))
     assert err <= COVER * res.error_estimate, (res.value, err, res.error_estimate)
+
+
+# the single-point operators at t on [0.2, 1.3], looking left (side -1, t = b)
+# or right (side +1, t = a), on f(s) = sin(3s + 0.4) + s^2 / 2
+OP_ALPHA, OP_A, OP_B = 0.4, 0.2, 1.3
+
+
+def _smooth(s):
+    return np.sin(3.0 * s + 0.4) + 0.5 * s**2
+
+
+def _smooth_diff_over_u(t, u, side):
+    """(f(t) - f(t + side u)) / u without cancellation."""
+    return -side * (
+        2.0 * np.cos(3.0 * t + 0.4 + 1.5 * side * u) * np.sin(1.5 * u) / u + 0.5 * (2.0 * t + side * u)
+    )
+
+
+def operator_oracle(kind, side, panels=256):
+    """I^alpha by u = v^(1/alpha) and the Weyl derivative by u = v^(1/(1-alpha)),
+    which leave int_0^(L^alpha) f(t + side u) dv / alpha and
+    int_0^(L^(1-alpha)) (f(t) - f(t + side u)) / u dv / (1-alpha): smooth integrands."""
+    al, length = OP_ALPHA, OP_B - OP_A
+    t = OP_B if side < 0 else OP_A
+    if kind == "frac":
+        inner = _gauss(lambda v: _smooth(t + side * v ** (1.0 / al)), 0.0, length**al, panels) / al
+        return inner / math.gamma(al)
+    p = 1.0 / (1.0 - al)
+    inner = _gauss(lambda v: _smooth_diff_over_u(t, v**p, side), 0.0, length ** (1.0 - al), panels) * p
+    return (_smooth(t) / length**al + al * inner) / math.gamma(1.0 - al)
+
+
+@pytest.mark.parametrize(
+    "kind, side, op",
+    [
+        ("frac", -1.0, lambda: frac_integral_left(_smooth, OP_ALPHA, OP_A, OP_B)),
+        ("frac", 1.0, lambda: frac_integral_right(_smooth, OP_ALPHA, OP_A, OP_B)),
+        ("weyl", -1.0, lambda: weyl_left(_smooth, OP_ALPHA, OP_A, OP_B)),
+        ("weyl", 1.0, lambda: weyl_right(_smooth, OP_ALPHA, OP_A, OP_B)),
+    ],
+    ids=["ileft", "iright", "dleft", "dright"],
+)
+def test_single_point_operator_within_estimates(kind, side, op):
+    want = operator_oracle(kind, side)
+    # halving the panels moves the oracle by rounding only
+    assert operator_oracle(kind, side, panels=128) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    res = op()
+    assert abs(res.value - want) <= COVER * res.error_estimate, (res.value, want, res.error_estimate)

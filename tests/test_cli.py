@@ -247,8 +247,8 @@ def test_suite_iterated_exit_0(capsys):
 
 
 def test_quad_fragment_parsing():
-    out = parse_quad_fragment("n=2048,tail_floor=1e-10,tol=1e-6,n_outer=256")
-    assert out == {"n_nodes": 2048, "tail_floor": 1e-10, "tol": 1e-6, "n_outer": 256}
+    out = parse_quad_fragment("n=2048,tol=1e-6,n_outer=256")
+    assert out == {"n_nodes": 2048, "tol": 1e-6, "n_outer": 256}
     with pytest.raises(SpecValidationError):
         parse_quad_fragment("bogus=3")
     with pytest.raises(SpecValidationError):
@@ -258,7 +258,7 @@ def test_quad_fragment_parsing():
 @pytest.mark.parametrize(
     "quad",
     ["tol=nan", "grading=nan", "n_outer=-5", "n=abc", "grading=x",
-     "grading=auto", "split_radius=0.1", "n_triple=48"],
+     "grading=auto", "split_radius=0.1", "n_triple=48", "tail_floor=1e-4", "n=4098"],
 )
 def test_bad_quad_option_exit_2(capsys, quad):
     code = main(
@@ -302,6 +302,7 @@ _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=
         ["young", "--f", "no-such-file.csv", "--g", "identity", "--a", "0", "--b", "1"],
         ["frac", "--op", "dleft", "--f", "sin", "--alpha", "0.5", "--a", "nan", "--t", "1"],
         ["frac", "--op", "iright", "--f", "sin", "--alpha", "0.5", "--t", "0", "--b", "inf"],
+        ["frac", "--op", "ileft", "--f", "monomial:p=-0.5", "--alpha", "0.5", "--a", "0", "--t", "1"],
         _HOLDER_FIELD + ["--a", "nan", "--b", "1"],
         _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "nan,1"],
         _HOLDER_FIELD + ["--a", "0", "--b", "inf"],
@@ -311,6 +312,7 @@ _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=
         "young-f", "frac-f", "iterate-fields", "indefinite-field", "holder-path",
         "young-reversed", "young-b-nan", "holder-b-nan", "iterate-b-nan", "bounds-b-nan",
         "iterate-unbalanced", "young-missing-csv", "frac-dleft-a-nan", "frac-iright-b-inf",
+        "frac-ileft-f-infinite-at-a",
         "holder-field-a-nan", "holder-field-box-nan", "holder-field-b-inf", "holder-field-box-inf",
     ],
 )

@@ -3,6 +3,7 @@ from math import gamma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlyoung import quadrature
 from nlyoung.fraccalc import (
@@ -89,14 +90,81 @@ def test_reflection_duality(case):
     left = frac_integral_left(f_reflected, alpha, a, a + b - t, CFG).value
     assert right == pytest.approx(left, rel=1e-10, abs=1e-12)
     # the Weyl pair: f_reflected rounds its argument, and the difference
-    # kernel amplifies that noise by ~floor^(-alpha) (up to 1e-6 at alpha=0.85)
+    # kernel amplifies that noise by ~spacing^(-alpha) (up to 1e-13 at alpha=0.85)
     noise = np.finfo(float).eps * (2.0 * abs(c0) + abs(c1)) * max(abs(a), abs(b), 1.0)
-    noise *= CFG.tail_floor**-alpha
+    noise *= (CFG.n_nodes / width) ** alpha
     right = weyl_right(f, alpha, t, b, 1.0, CFG)
     left = weyl_left(f_reflected, alpha, a, a + b - t, 1.0, CFG)
     assert right.value == pytest.approx(left.value, rel=1e-10, abs=1e-12 + 16.0 * noise)
     # the error estimates carry that rounding floor
     assert abs(right.value - left.value) <= right.error_estimate + left.error_estimate
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    alpha=st.floats(0.05, 0.95),
+    side=st.sampled_from([-1.0, 1.0]),
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(1e-2, 4.0),
+    c0=st.floats(-3.0, 3.0),
+    c1=st.floats(-3.0, 3.0),
+)
+def test_single_point_operators_exact_on_affine_f(alpha, side, a, length, c0, c1):
+    # f(s) = c0 + c1 s is piecewise linear on every grid, so the hat weights
+    # integrate both kernels exactly: the difference f(t) - f(t + side u) is
+    # -side c1 u, whose Marchaud integral is -side c1 L^(1-alpha) / (1-alpha)
+    b = a + length
+    t = b if side < 0 else a
+    f = lambda s: c0 + c1 * np.asarray(s, dtype=float)
+    cfg = QuadratureConfig(n_nodes=64)
+    if side < 0:
+        frac, weyl = frac_integral_left(f, alpha, a, b, cfg), weyl_left(f, alpha, a, b, 1.0, cfg)
+    else:
+        frac, weyl = frac_integral_right(f, alpha, a, b, cfg), weyl_right(f, alpha, a, b, 1.0, cfg)
+    ft = c0 + c1 * t
+    want = ft * length**alpha / gamma(alpha + 1.0) + side * c1 * length ** (alpha + 1.0) / ((alpha + 1.0) * gamma(alpha))
+    scale = (abs(c0) + abs(c1) * max(abs(a), abs(b), 1.0)) * max(length, 1.0) ** 2
+    assert frac.value == pytest.approx(want, rel=1e-11, abs=1e-12 * scale)
+    want = (ft / length**alpha - alpha * side * c1 * length ** (1.0 - alpha) / (1.0 - alpha)) / gamma(1.0 - alpha)
+    assert weyl.value == pytest.approx(want, rel=1e-11, abs=1e-12 * scale * length**-alpha)
+
+
+def _infinite_at(end):
+    def f(s):
+        with np.errstate(divide="ignore"):
+            return np.abs(np.asarray(s, dtype=float) - end) ** -0.5
+
+    return f
+
+
+_SINGLE_POINT_OPS = {
+    "ileft": lambda f: frac_integral_left(f, 0.5, 0.0, 1.0, CFG),
+    "iright": lambda f: frac_integral_right(f, 0.5, 0.0, 1.0, CFG),
+    "dleft": lambda f: weyl_left(f, 0.3, 0.0, 1.0, 0.5, CFG),
+    "dright": lambda f: weyl_right(f, 0.3, 0.0, 1.0, 0.5, CFG),
+}
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+@pytest.mark.parametrize("op", sorted(_SINGLE_POINT_OPS))
+def test_single_point_operators_reject_f_infinite_at_an_end(op, end):
+    # both ends are nodes, so an integrable singularity at the evaluation point
+    # or at the far end is an error, not an inf/nan value
+    with pytest.raises(ValueError, match="finite on the closed interval"):
+        _SINGLE_POINT_OPS[op](_infinite_at(end))
+
+
+def test_small_budgets_cover_their_error_or_say_not_converged():
+    # levels n/4, n/2, n are distinct however small n is, so a coarse result
+    # either carries its error in the estimate or reports converged=False
+    true = -(0.5 - math.sin(2.0) / 4.0)  # int_0^1 sin d(cos)
+    res = dl_dr_integral(np.sin, np.cos, 0.5, 0.0, 1.0, cfg=QuadratureConfig(n_outer=8))
+    assert abs(res.value - true) <= res.error_estimate or not res.converged
+    assert len(set(res.levels)) == 3
+    true = frac_integral_left(np.sin, 0.5, 0.0, 1.0, CFG).value
+    res = frac_integral_left(np.sin, 0.5, 0.0, 1.0, QuadratureConfig(n_nodes=8))
+    assert abs(res.value - true) <= res.error_estimate or not res.converged
+    assert len(set(res.levels)) == 3
 
 
 def test_domain_errors():
@@ -147,8 +215,10 @@ def test_weyl_right_power_mirror():
 
 
 def test_weyl_inverts_fractional_integral():
+    # the inner integrals' quadrature error is noise to the outer derivative,
+    # which amplifies it by the outer spacing's power only
     inner_cfg = QuadratureConfig(n_nodes=512)
-    outer_cfg = QuadratureConfig(n_nodes=1024, tail_floor=1e-4)
+    outer_cfg = QuadratureConfig(n_nodes=1024)
 
     def int_half(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))

@@ -5,7 +5,7 @@ frac.  Exit codes: 0 all declared tolerances pass, 1 a tolerance failed,
 2 spec/argument validation failed or an input file is missing, 3 a
 refinement did not converge.
 Reports are JSON (and CSV tables for the bound studies); --no-timestamp
-removes wall-clock fields so identical runs are byte-identical.
+removes the timing fields at every depth so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import experiments as xp
-from .fields import Regularity, holder_seminorm_field
+from .fields import Regularity, holder_seminorm_field, make_field
 from .fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
 from .iterated import JointField, growth_check, iterated_integral
 from .nonlinear import indefinite_integral, stability_in_medium, stability_in_path
@@ -37,30 +37,40 @@ def _emit(args, payload: dict, filename: str) -> None:
     print(text)
 
 
+def _verdict(report: xp.RunReport) -> int:
+    if report.nonconverged:
+        return EXIT_NONCONVERGED
+    return EXIT_OK if report.passed else EXIT_TOLERANCE
+
+
 def _quad(args) -> QuadratureConfig:
     return xp.build_config(xp.parse_quad_fragment(args.quad or ""))
 
 
+def _require(args, command: str, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise xp.SpecValidationError(f"{command} needs --{flag}")
+
+
+def _spec(args, name: str, path: str, **extra) -> xp.ExperimentSpec:
+    """The experiment spec of a subcommand's medium, exponents and interval."""
+    return xp.ExperimentSpec(
+        name=name, field=args.field, path=path,
+        tau=args.tau, lam=getattr(args, "lambda"), gamma=args.gamma, a=args.a, b=args.b,
+        alpha=args.alpha, quad=xp.parse_quad_fragment(args.quad or ""), **extra,
+    )
+
+
 def cmd_integrate(args) -> int:
-    spec = xp.ExperimentSpec(
-        name=args.name,
-        field=args.field,
-        path=args.path,
-        tau=args.tau,
-        lam=getattr(args, "lambda"),
-        gamma=args.gamma,
-        a=args.a,
-        b=args.b,
+    spec = _spec(
+        args, args.name, args.path,
         methods=("fractional", "sewing") if args.method == "both" else ({"frac": "fractional"}.get(args.method, args.method),),
-        alpha=args.alpha,
-        quad=xp.parse_quad_fragment(args.quad or ""),
         tolerances=json.loads(args.tolerances) if args.tolerances else {},
     )
-    report = xp.run(spec, with_timing=not args.no_timestamp)
+    report = xp.run(spec)
     _emit(args, report.to_json_dict(not args.no_timestamp), f"{spec.name}.json")
-    if report.nonconverged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
+    return _verdict(report)
 
 
 def cmd_young(args) -> int:
@@ -79,18 +89,7 @@ def cmd_young(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    spec = xp.ExperimentSpec(
-        name=f"bounds-{args.check}",
-        field=args.field,
-        path=args.path or "identity",
-        tau=args.tau,
-        lam=getattr(args, "lambda"),
-        gamma=args.gamma,
-        a=args.a,
-        b=args.b,
-        alpha=args.alpha,
-        quad=xp.parse_quad_fragment(args.quad or ""),
-    )
+    spec = _spec(args, f"bounds-{args.check}", args.path or "identity")
     rows: list[dict] = []
     if args.check == "centered":
         report, rows = xp.centered_bound_study(spec, j_max=args.jmax)
@@ -100,7 +99,7 @@ def cmd_bounds(args) -> int:
             negative_beta=args.beta_target,
         )
     elif args.check == "holder":
-        report = xp.run(spec, with_timing=not args.no_timestamp)
+        report = xp.run(spec)
         rows = [
             {
                 "j": 0,
@@ -110,17 +109,19 @@ def cmd_bounds(args) -> int:
             }
         ]
     elif args.check == "stability-w":
-        w1 = xp.load_field(args.field)
-        w2 = xp.load_field(args.field2)
+        _require(args, "bounds --check stability-w", "field2", "path")
+        w1 = make_field(args.field)
+        w2 = make_field(args.field2)
         phi = xp.load_path(args.path)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
         chk = stability_in_medium(w1, w2, phi, reg, args.a, args.b, _quad(args))
         rows = [{"j": 0, "interval": args.b - args.a, "lhs": chk.lhs,
                  "term1": chk.term1, "term2": chk.term2,
                  "ratio": (chk.lhs - chk.term1) / chk.term2 if chk.term2 > 0 else 0.0}]
-        report = xp.RunReport(spec.name, spec.to_json_dict(), {}, rows[0], [], True, False)
+        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0])
     elif args.check == "stability-phi":
-        w1 = xp.load_field(args.field)
+        _require(args, "bounds --check stability-phi", "path", "path2")
+        w1 = make_field(args.field)
         phi = xp.load_path(args.path)
         phi2 = xp.load_path(args.path2)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
@@ -129,7 +130,7 @@ def cmd_bounds(args) -> int:
                  "term1": chk.term1, "term2": chk.term2, "c2_shape": chk.c2_shape,
                  "ratio": chk.lhs / (chk.term1 + chk.c2_shape * chk.term2)
                  if chk.term1 + chk.c2_shape * chk.term2 > 0 else 0.0}]
-        report = xp.RunReport(spec.name, spec.to_json_dict(), {}, rows[0], [], True, False)
+        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0])
     else:
         raise xp.SpecValidationError(f"unknown bounds check {args.check!r}")
     if args.out:
@@ -139,7 +140,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_indefinite(args) -> int:
-    w = xp.load_field(args.field)
+    w = make_field(args.field)
     phi = xp.load_path(args.path)
     reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
     res = indefinite_integral(w, phi, reg, args.a, args.b, args.points)
@@ -159,7 +160,7 @@ def cmd_iterate(args) -> int:
     descs = [d.strip() for d in _split_top_level(args.fields) if d.strip()]
     if args.n and len(descs) == 1:
         descs = descs * args.n
-    joints = [JointField(xp.load_field(d), args.tau, getattr(args, "lambda")) for d in descs]
+    joints = [JointField(make_field(d), args.tau, getattr(args, "lambda")) for d in descs]
     rho = xp.load_path(args.rho)
     res = iterated_integral(joints, rho, args.a, args.b, n_points=args.points)
     payload = {
@@ -186,16 +187,14 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    report = xp.suite(args.suite_name, jobs=args.jobs, with_timing=not args.no_timestamp)
+    report = xp.suite(args.suite_name)
     _emit(args, report.to_json_dict(not args.no_timestamp), f"suite-{args.suite_name}.json")
-    if report.nonconverged:
-        return EXIT_NONCONVERGED
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
+    return _verdict(report)
 
 
 def cmd_holder(args) -> int:
     if args.field:
-        w = xp.load_field(args.field)
+        w = make_field(args.field)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma or 1.0, 0.5)
         lo, hi = (float(x) for x in args.box.split(","))
         rep = holder_seminorm_field(w, reg, args.a, args.b, (lo, hi))
@@ -208,6 +207,7 @@ def cmd_holder(args) -> int:
             "n_pairs_checked": rep.n_pairs_checked,
         }
     else:
+        _require(args, "holder without --field", "path")
         p = xp.load_path(args.path)
         if not hasattr(p, "ts"):
             from .paths import sample_function
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a pinned acceptance suite")
     p.add_argument("suite_name", choices=list(xp.SUITE_NAMES))
-    p.add_argument("--jobs", type=int, default=1, help="parallel specs inside suites")
     _add_common(p)
     p.set_defaults(func=cmd_suite)
 

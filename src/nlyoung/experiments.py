@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import MISSING, asdict, dataclass, field as dataclass_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .fields import Field, ProductField, Regularity, RegularityError, make_field
+from .fields import ProductField, Regularity, RegularityError, make_field
 from .iterated import GrowthParams, JointField, growth_check, iterated_integral
 from .nonlinear import (
     alpha_independence,
@@ -49,24 +49,6 @@ class SpecValidationError(ValueError):
     """The experiment spec is malformed or violates an admissibility condition."""
 
 
-_SPEC_FIELDS = {
-    "name": str,
-    "field": str,
-    "path": str,
-    "tau": float,
-    "lam": float,
-    "gamma": float,
-    "a": float,
-    "b": float,
-    "methods": list,
-    "alpha": (float, type(None)),
-    "alphas": list,
-    "quad": dict,
-    "tolerances": dict,
-    "output": (str, type(None)),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One integrate experiment: medium, path, exponents, interval, methods."""
@@ -87,53 +69,51 @@ class ExperimentSpec:
     output: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "field": self.field,
-            "path": self.path,
-            "tau": self.tau,
-            "lam": self.lam,
-            "gamma": self.gamma,
-            "a": self.a,
-            "b": self.b,
-            "methods": list(self.methods),
-            "alpha": self.alpha,
-            "alphas": list(self.alphas),
-            "quad": dict(self.quad),
-            "tolerances": dict(self.tolerances),
-            "output": self.output,
-        }
+        return {**asdict(self), "methods": list(self.methods), "alphas": list(self.alphas)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
-        unknown = set(data) - set(_SPEC_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise SpecValidationError(f"unknown spec keys: {sorted(unknown)}")
-        missing = {"name", "field", "path", "tau", "lam", "gamma", "a", "b"} - set(data)
+        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        missing = required - set(data)
         if missing:
             raise SpecValidationError(f"missing spec keys: {sorted(missing)}")
-        kwargs = dict(data)
-        kwargs["methods"] = tuple(kwargs.get("methods", ["fractional", "sewing"]))
-        kwargs["alphas"] = tuple(kwargs.get("alphas", []))
-        return cls(**kwargs)
+        return cls(**{k: tuple(v) if k in ("methods", "alphas") else v for k, v in data.items()})
 
 
 @dataclass
 class RunReport:
-    """Outcome of one experiment or one suite: reports, comparisons, verdicts."""
+    """Outcome of one experiment or one suite: reports, comparisons, checks.
+
+    The verdicts are derived: a report passes when its checks and its
+    children pass, and is nonconverged when one of its method reports, or
+    one of its children, did not converge.
+    """
 
     name: str
-    spec: dict | None
-    reports: dict
-    comparisons: dict
-    checks: list
-    passed: bool
-    nonconverged: bool
+    spec: dict | None = None
+    reports: dict = dataclass_field(default_factory=dict)
+    comparisons: dict = dataclass_field(default_factory=dict)
+    checks: list = dataclass_field(default_factory=list)
     wall_clock_s: float | None = None
     timestamp: str | None = None
     children: list = dataclass_field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks) and all(c.passed for c in self.children)
+
+    @property
+    def nonconverged(self) -> bool:
+        return any(not r["converged"] for r in self.reports.values()) or any(
+            c.nonconverged for c in self.children
+        )
+
     def to_json_dict(self, with_timing: bool = True) -> dict:
+        """JSON form; without timing, runtime_ms, wall_clock_s and timestamp
+        are dropped at every depth, so identical runs give identical output."""
         out = {
             "name": self.name,
             "spec": self.spec,
@@ -146,8 +126,11 @@ class RunReport:
         if self.children:
             out["children"] = [c.to_json_dict(with_timing) for c in self.children]
         if with_timing:
-            out["wall_clock_s"] = self.wall_clock_s
-            out["timestamp"] = self.timestamp
+            out.update(wall_clock_s=self.wall_clock_s, timestamp=self.timestamp)
+        else:
+            out["reports"] = {
+                m: {k: v for k, v in r.items() if k != "runtime_ms"} for m, r in self.reports.items()
+            }
         return out
 
 
@@ -190,21 +173,17 @@ def load_path(desc: str):
     return make_function(desc)
 
 
-def load_field(desc: str) -> Field:
-    return make_field(desc)
-
-
 def _check(name: str, observed: float, limit: float, passed: bool | None = None) -> dict:
     if passed is None:
         passed = bool(observed <= limit)
     return {"name": name, "observed": observed, "limit": limit, "passed": bool(passed)}
 
 
-def run(spec: ExperimentSpec, with_timing: bool = True) -> RunReport:
+def run(spec: ExperimentSpec) -> RunReport:
     """Execute one spec: per-method values, comparisons, tolerance verdicts."""
     t0 = datetime.now(timezone.utc)
     try:
-        w = load_field(spec.field)
+        w = make_field(spec.field)
         phi = load_path(spec.path)
         reg = Regularity(spec.tau, spec.lam, spec.gamma, spec.alpha)
         reg.require_admissible()
@@ -223,11 +202,11 @@ def run(spec: ExperimentSpec, with_timing: bool = True) -> RunReport:
     if "fractional" in spec.methods:
         rep = integrate_fractional(w, phi, reg, spec.a, spec.b, cfg)
         raw["fractional"] = rep
-        reports["fractional"] = rep.to_json_dict(with_timing)
+        reports["fractional"] = rep.to_json_dict()
     if "sewing" in spec.methods:
         rep, trace = integrate_sewing(w, phi, spec.a, spec.b)
         raw["sewing"] = rep
-        reports["sewing"] = rep.to_json_dict(with_timing)
+        reports["sewing"] = rep.to_json_dict()
         comparisons["sewing_orders"] = list(trace.orders[-4:])
 
     if "expected_value" in tol:
@@ -254,19 +233,10 @@ def run(spec: ExperimentSpec, with_timing: bool = True) -> RunReport:
         factor = tol.get("alpha_spread_factor", 20.0)
         checks.append(_check("alpha_spread", ai.spread, factor * ai.max_error_estimate))
 
-    nonconverged = any(not rep.converged for rep in raw.values())
-    passed = all(c["passed"] for c in checks)
-    wall = (datetime.now(timezone.utc) - t0).total_seconds()
     return RunReport(
-        name=spec.name,
-        spec=spec.to_json_dict(),
-        reports=reports,
-        comparisons=comparisons,
-        checks=checks,
-        passed=passed,
-        nonconverged=nonconverged,
-        wall_clock_s=wall if with_timing else None,
-        timestamp=t0.isoformat() if with_timing else None,
+        spec.name, spec.to_json_dict(), reports, comparisons, checks,
+        wall_clock_s=(datetime.now(timezone.utc) - t0).total_seconds(),
+        timestamp=t0.isoformat(),
     )
 
 
@@ -360,7 +330,7 @@ def alpha_specs() -> list[ExperimentSpec]:
 
 def additivity_study(spec: ExperimentSpec, n_cuts: int = 10, seed: int = 7) -> RunReport:
     """|int_a^b - int_a^c - int_c^b| <= summed error estimates, both methods."""
-    w = load_field(spec.field)
+    w = make_field(spec.field)
     phi = load_path(spec.path)
     reg = Regularity(spec.tau, spec.lam, spec.gamma, spec.alpha)
     cfg = build_config(dict(spec.quad))
@@ -380,31 +350,19 @@ def additivity_study(spec: ExperimentSpec, n_cuts: int = 10, seed: int = 7) -> R
         gap_s = abs(full_s.value - sl.value - sr.value)
         budget_s = full_s.error_estimate + sl.error_estimate + sr.error_estimate
         checks.append(_check(f"sewing_additivity_{idx}", gap_s, budget_s))
-    return RunReport(
-        name=spec.name + "-additivity",
-        spec=spec.to_json_dict(),
-        reports={},
-        comparisons={},
-        checks=checks,
-        passed=all(c["passed"] for c in checks),
-        nonconverged=False,
-    )
+    return RunReport(spec.name + "-additivity", spec.to_json_dict(), checks=checks)
 
 
 def sewing_order_study(spec: ExperimentSpec, lo: int = 8, hi: int = 14, min_order: float = 0.2) -> RunReport:
-    w = load_field(spec.field)
+    w = make_field(spec.field)
     phi = load_path(spec.path)
     _, trace = integrate_sewing(w, phi, spec.a, spec.b, max_levels=hi, tol=0.0)
     order = trace.fitted_order(lo, hi)
     checks = [_check("sewing_order", order, min_order, passed=order >= min_order)]
     return RunReport(
-        name=spec.name + "-sewing-order",
-        spec=spec.to_json_dict(),
-        reports={},
+        spec.name + "-sewing-order", spec.to_json_dict(),
         comparisons={"fitted_order": order, "levels": list(trace.sums)},
         checks=checks,
-        passed=order >= min_order,
-        nonconverged=False,
     )
 
 
@@ -413,7 +371,7 @@ def indefinite_study(
     n_points: int = 513,
     slope_window: float = 0.15,
 ) -> RunReport:
-    w = load_field(spec.field)
+    w = make_field(spec.field)
     phi = load_path(spec.path)
     reg = Regularity(spec.tau, spec.lam, spec.gamma, spec.alpha)
     res = indefinite_integral(w, phi, reg, spec.a, spec.b, n_points)
@@ -421,9 +379,7 @@ def indefinite_study(
     ok = lo <= res.regression_slope <= hi
     checks = [_check("indefinite_holder_slope", res.regression_slope, hi, passed=ok)]
     return RunReport(
-        name=spec.name + "-indefinite",
-        spec=spec.to_json_dict(),
-        reports={},
+        spec.name + "-indefinite", spec.to_json_dict(),
         comparisons={
             "regression_slope": res.regression_slope,
             "target_exponent": spec.tau,
@@ -431,8 +387,6 @@ def indefinite_study(
             "lag_medians": [float(x) for x in res.lag_medians],
         },
         checks=checks,
-        passed=ok,
-        nonconverged=False,
     )
 
 
@@ -442,7 +396,7 @@ def centered_bound_study(
     slope_tol: float = 0.15,
 ) -> tuple[RunReport, list[dict]]:
     """est.W.c ratios across (b-a) = 2^-j; no growth trend in log-ratio."""
-    w = load_field(spec.field)
+    w = make_field(spec.field)
     phi = load_path(spec.path)
     cfg = build_config(dict(spec.quad))
     rows = []
@@ -465,13 +419,9 @@ def centered_bound_study(
     ok = abs(slope) <= slope_tol
     checks = [_check("centered_ratio_trend", abs(slope), slope_tol, passed=ok)]
     report = RunReport(
-        name=spec.name + "-centered",
-        spec=spec.to_json_dict(),
-        reports={},
+        spec.name + "-centered", spec.to_json_dict(),
         comparisons={"theil_sen_slope": slope, "ratios": ratios},
         checks=checks,
-        passed=ok,
-        nonconverged=False,
     )
     return report, rows
 
@@ -485,7 +435,7 @@ def refined_bound_study(
     negative_beta: float | None = None,
 ) -> tuple[RunReport, list[dict]]:
     """Pinned-start bound: admissible target stays bounded, excessive grows."""
-    w = load_field(spec.field)
+    w = make_field(spec.field)
     cfg = build_config(dict(spec.quad))
     reg = Regularity(spec.tau, spec.lam, spec.gamma, spec.alpha)
     threshold = 1.0 + (reg.lam * reg.gamma + reg.tau - 1.0) * ell / reg.gamma
@@ -519,9 +469,7 @@ def refined_bound_study(
         _check("refined_negative_grows", slope_neg, 0.1, passed=slope_neg > 0.1),
     ]
     report = RunReport(
-        name=spec.name + "-refined",
-        spec=spec.to_json_dict(),
-        reports={},
+        spec.name + "-refined", spec.to_json_dict(),
         comparisons={
             "beta_threshold": threshold,
             "beta_positive": beta_pos,
@@ -530,8 +478,6 @@ def refined_bound_study(
             "slope_negative": slope_neg,
         },
         checks=checks,
-        passed=all(c["passed"] for c in checks),
-        nonconverged=False,
     )
     return report, rows
 
@@ -548,8 +494,8 @@ def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = 0.8) -
     theta must keep tau + theta*lam*gamma above one for the path family
     (tau = 0.6, lam = 1, gamma = 0.7 here, so theta > 4/7).
     """
-    w1 = load_field(_product(_wei(0.6), "identity"))
-    w2 = load_field(_product(_wei(0.65, phase=0.7), "identity"))
+    w1 = make_field(_product(_wei(0.6), "identity"))
+    w2 = make_field(_product(_wei(0.65, phase=0.7), "identity"))
     phi = load_path(_wei(0.7))
     phi2 = load_path(_wei(0.7, phase=0.05))
     reg = Regularity(0.6, 1.0, 0.7)
@@ -581,9 +527,7 @@ def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = 0.8) -
             _check(f"path_two_term_{idx}", sp.lhs, STABILITY_PATH_CAP * denom)
         )
     return RunReport(
-        name="stability",
-        spec=None,
-        reports={},
+        "stability",
         comparisons={
             "medium_fitted_constants": med_constants,
             "path_fitted_constants": path_constants,
@@ -591,8 +535,6 @@ def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = 0.8) -
             "path_cap": STABILITY_PATH_CAP,
         },
         checks=checks,
-        passed=all(c["passed"] for c in checks),
-        nonconverged=False,
     )
 
 
@@ -618,13 +560,9 @@ def iterated_study() -> RunReport:
     g2 = growth_check([joint_t, joint_t], ident, 0.0, scales, gp.target(2))
     checks.append(_check("growth_n2_bounded", -g2.slope, 0.1, passed=g2.slope >= -0.1))
     return RunReport(
-        name="iterated",
-        spec=None,
-        reports={},
+        "iterated",
         comparisons={"growth_n1_slope": g1.slope, "growth_n2_slope": g2.slope},
         checks=checks,
-        passed=all(c["passed"] for c in checks),
-        nonconverged=False,
     )
 
 
@@ -635,60 +573,34 @@ def iterated_study() -> RunReport:
 SUITE_NAMES = ("reduction", "alpha", "convergence", "bounds", "iterated")
 
 
-def _aggregate(name: str, children: list[RunReport]) -> RunReport:
+def suite(name: str) -> RunReport:
+    """Run one named acceptance suite with its pinned specs; the suite's
+    checks are its children's."""
+    t0 = datetime.now(timezone.utc)
+    if name == "reduction":
+        children = [run(s) for s in reduction_specs()]
+    elif name == "alpha":
+        children = [run(s) for s in alpha_specs()]
+    elif name == "convergence":
+        combos = pinned_combos()
+        children = [run(c) for c in combos]
+        children.append(sewing_order_study(combos[2]))
+        children.extend(additivity_study(replace(c, quad={"n_outer": 1024, "tol": 5e-3})) for c in combos)
+        children.append(indefinite_study(combos[2]))
+    elif name == "bounds":
+        combo = replace(pinned_combos()[2], quad={"n_outer": 512, "tol": 5e-3})
+        children = [centered_bound_study(combo)[0], refined_bound_study(combo)[0], stability_study()]
+    elif name == "iterated":
+        children = [iterated_study()]
+    else:
+        raise SpecValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return RunReport(
-        name=name,
-        spec=None,
-        reports={},
-        comparisons={},
+        name,
         checks=[c for child in children for c in child.checks],
-        passed=all(child.passed for child in children),
-        nonconverged=any(child.nonconverged for child in children),
+        wall_clock_s=(datetime.now(timezone.utc) - t0).total_seconds(),
+        timestamp=t0.isoformat(),
         children=children,
     )
-
-
-def suite(name: str, jobs: int = 1, with_timing: bool = True) -> RunReport:
-    """Run one named acceptance suite with its pinned specs."""
-    if name == "reduction":
-        children = [run(s, with_timing) for s in reduction_specs()]
-        return _aggregate(name, children)
-    if name == "alpha":
-        children = _map_runs(alpha_specs(), jobs, with_timing)
-        return _aggregate(name, children)
-    if name == "convergence":
-        combos = pinned_combos()
-        children = _map_runs(combos, jobs, with_timing)
-        children.append(sewing_order_study(combos[2]))
-        additivity_cfg = [
-            replace(c, quad={"n_outer": 1024, "tol": 5e-3}) for c in combos
-        ]
-        children.extend(additivity_study(c) for c in additivity_cfg)
-        children.append(indefinite_study(combos[2]))
-        return _aggregate(name, children)
-    if name == "bounds":
-        combo = pinned_combos()[2]
-        centered, _ = centered_bound_study(replace(combo, quad={"n_outer": 512, "tol": 5e-3}))
-        refined, _ = refined_bound_study(replace(combo, quad={"n_outer": 512, "tol": 5e-3}))
-        children = [centered, refined, stability_study()]
-        return _aggregate(name, children)
-    if name == "iterated":
-        return _aggregate(name, [iterated_study()])
-    raise SpecValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-
-def _run_one(args):
-    spec, with_timing = args
-    return run(spec, with_timing)
-
-
-def _map_runs(specs, jobs: int, with_timing: bool) -> list[RunReport]:
-    if jobs <= 1:
-        return [run(s, with_timing) for s in specs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, [(s, with_timing) for s in specs]))
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class IntegralReport:
     converged: bool = True
     params: dict = dataclass_field(default_factory=dict)
 
-    def to_json_dict(self, with_timing: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "value": self.value,
             "method": self.method,
@@ -110,13 +110,12 @@ class IntegralReport:
             "bound_ratios": dict(self.bound_ratios),
             "converged": self.converged,
             "params": dict(self.params),
+            "runtime_ms": self.runtime_ms,
         }
         if self.alpha is not None:
             out["alpha"] = self.alpha
         if self.levels_used is not None:
             out["levels_used"] = self.levels_used
-        if with_timing:
-            out["runtime_ms"] = self.runtime_ms
         return out
 
 
@@ -303,7 +302,8 @@ def integrate_sewing(
 
     Dyadic partitions with 2^k intervals are refined until successive sums
     differ by less than tol, from level 4 on, or max_levels is hit;
-    params["stop_reason"] says which.  The reported value is the Richardson
+    params["stop_reason"] says which.  max_levels must be at least 2, so
+    that there are two differences to extrapolate from.  The reported value is the Richardson
     extrapolation of the last three sums at the observed order, falling back
     to the finest sum when the order estimate is unstable.
 
@@ -315,6 +315,8 @@ def integrate_sewing(
     every level.
     """
     _require_interval(a, b)
+    if max_levels < 2:
+        raise ValueError(f"need max_levels >= 2, got {max_levels}")
     t0 = time.perf_counter()
     terms = w.separable_terms()
     if terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nlyoung.cli import main
-from nlyoung.experiments import ExperimentSpec, SpecValidationError, parse_quad_fragment
+from nlyoung.experiments import ExperimentSpec, RunReport, SpecValidationError, parse_quad_fragment
 
 
 def run_cli(args, capsys):
@@ -107,6 +107,53 @@ def test_unknown_suite_exit_2(capsys):
     assert code == 0
     with pytest.raises(SystemExit):
         main(["suite", "mystery"])  # argparse rejects unknown choices
+
+
+_TIMING_KEYS = {"runtime_ms", "wall_clock_s", "timestamp"}
+
+
+def _keys_at_every_depth(obj) -> set:
+    if isinstance(obj, dict):
+        return set(obj).union(*(_keys_at_every_depth(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_keys_at_every_depth(v) for v in obj))
+    return set()
+
+
+def test_suite_no_timestamp_strips_nested_timing(capsys):
+    _, out1 = run_cli(["suite", "reduction", "--no-timestamp"], capsys)
+    _, out2 = run_cli(["suite", "reduction", "--no-timestamp"], capsys)
+    assert out1 == out2
+    doc = json.loads(out1)
+    assert len(doc["children"]) == 3
+    assert not _keys_at_every_depth(doc) & _TIMING_KEYS
+    _, timed = run_cli(["suite", "reduction"], capsys)
+    timed = json.loads(timed)
+    assert _keys_at_every_depth(timed) >= _TIMING_KEYS
+    assert timed["wall_clock_s"] > 0
+    assert all(child["timestamp"] for child in timed["children"])
+    assert all("runtime_ms" in child["reports"]["fractional"] for child in timed["children"])
+
+
+def test_run_report_verdicts_follow_children():
+    ok = {"name": "fine", "observed": 0.0, "limit": 1.0, "passed": True}
+    bad = {"name": "broken", "observed": 2.0, "limit": 1.0, "passed": False}
+    parent = RunReport("suite", checks=[ok], children=[RunReport("child", checks=[ok, bad])])
+    assert parent.passed is False
+    assert RunReport("suite", checks=[ok], children=[RunReport("child", checks=[ok])]).passed is True
+    stalled = RunReport("child", reports={"sewing": {"converged": True}, "fractional": {"converged": False}})
+    parent = RunReport("suite", children=[RunReport("mid", children=[stalled])])
+    assert parent.nonconverged is True
+    assert parent.passed is True
+    converged = RunReport("child", reports={"sewing": {"converged": True}})
+    assert RunReport("suite", children=[converged]).nonconverged is False
+
+
+def test_suite_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "reduction", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(capsys):
@@ -279,6 +326,15 @@ def test_bad_quad_option_exit_2(capsys, quad):
 
 _PRODUCT = "product:g=(identity),h=(const:c=1)"
 _ITERATE = ["iterate", "--rho", "const:c=1", "--a", "0", "--tau", "1", "--lambda", "1"]
+_STABILITY = ["bounds", "--field", _PRODUCT, "--a", "0", "--b", "1",
+              "--tau", "1", "--lambda", "1", "--gamma", "1", "--check"]
+# subcommands missing a flag that their mode needs, and that flag
+_MISSING_COMPANION = {
+    "stability-w-no-field2": (_STABILITY + ["stability-w", "--path", "identity"], "--field2"),
+    "stability-w-no-path": (_STABILITY + ["stability-w", "--field2", _PRODUCT], "--path"),
+    "stability-phi-no-path2": (_STABILITY + ["stability-phi", "--path", "identity"], "--path2"),
+    "holder-no-input": (["holder", "--a", "0", "--b", "1"], "--path"),
+}
 _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=(identity)",
                  "--tau", "0.6", "--lambda", "1"]
 
@@ -307,14 +363,14 @@ _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=
         _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "nan,1"],
         _HOLDER_FIELD + ["--a", "0", "--b", "inf"],
         _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "0,inf"],
-    ],
+    ] + [argv for argv, _ in _MISSING_COMPANION.values()],
     ids=[
         "young-f", "frac-f", "iterate-fields", "indefinite-field", "holder-path",
         "young-reversed", "young-b-nan", "holder-b-nan", "iterate-b-nan", "bounds-b-nan",
         "iterate-unbalanced", "young-missing-csv", "frac-dleft-a-nan", "frac-iright-b-inf",
         "frac-ileft-f-infinite-at-a",
         "holder-field-a-nan", "holder-field-box-nan", "holder-field-b-inf", "holder-field-box-inf",
-    ],
+    ] + list(_MISSING_COMPANION),
 )
 def test_bad_input_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # where no-such-file.csv does not exist
@@ -323,6 +379,12 @@ def test_bad_input_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flag", list(_MISSING_COMPANION.values()), ids=list(_MISSING_COMPANION))
+def test_missing_companion_flag_is_named(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"needs {flag}" in capsys.readouterr().err
 
 
 def test_spec_round_trip_and_unknown_keys():

@@ -348,6 +348,15 @@ def test_sewing_stop_reason():
     assert rep.levels_used < 30
 
 
+@pytest.mark.parametrize("max_levels", [-1, 0, 1])
+def test_sewing_rejects_fewer_than_two_levels(max_levels):
+    # the level-0 sum alone is sin(1) = 0.8415, far from the integral
+    # sin(1) - 1 + cos(1) = 0.7273, with no difference to estimate its error
+    w = ProductField(np.sin, ident)
+    with pytest.raises(ValueError, match="max_levels"):
+        integrate_sewing(w, np.cos, 0.0, 1.0, max_levels=max_levels)
+
+
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
 def test_non_finite_endpoints_rejected(a, b):
     w = ProductField(np.sin, ident)

@@ -118,7 +118,10 @@ def cmd_bounds(args) -> int:
         rows = [{"j": 0, "interval": args.b - args.a, "lhs": chk.lhs,
                  "term1": chk.term1, "term2": chk.term2,
                  "ratio": (chk.lhs - chk.term1) / chk.term2 if chk.term2 > 0 else 0.0}]
-        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0])
+        check = xp._check("medium_two_term", chk.lhs,
+                          chk.term1 + xp.STABILITY_MEDIUM_CAP * chk.term2)
+        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0],
+                              checks=[check])
     elif args.check == "stability-phi":
         _require(args, "bounds --check stability-phi", "path", "path2")
         w1 = make_field(args.field)
@@ -126,11 +129,13 @@ def cmd_bounds(args) -> int:
         phi2 = xp.load_path(args.path2)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
         chk = stability_in_path(w1, phi, phi2, reg, args.theta, args.a, args.b, _quad(args))
+        denom = chk.term1 + chk.c2_shape * chk.term2
         rows = [{"j": 0, "interval": args.b - args.a, "lhs": chk.lhs,
                  "term1": chk.term1, "term2": chk.term2, "c2_shape": chk.c2_shape,
-                 "ratio": chk.lhs / (chk.term1 + chk.c2_shape * chk.term2)
-                 if chk.term1 + chk.c2_shape * chk.term2 > 0 else 0.0}]
-        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0])
+                 "ratio": chk.lhs / denom if denom > 0 else 0.0}]
+        check = xp._check("path_two_term", chk.lhs, xp.STABILITY_PATH_CAP * denom)
+        report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0],
+                              checks=[check])
     else:
         raise xp.SpecValidationError(f"unknown bounds check {args.check!r}")
     if args.out:

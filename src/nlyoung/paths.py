@@ -132,9 +132,13 @@ class WeierstrassFunction:
     Two evaluators: calling the function takes one cosine per point and
     scale; `on_grid` samples a uniform grid by one factored matrix product.
     Both meet the same accuracy contract: at the points t, the error is at
-    most a small multiple of eps * sum_k A_k (1 + F_k max|t|), with the
-    amplitudes A_k = base^(-k H) and frequencies F_k = base^k.  Their values
-    agree within that bound, not bitwise.
+    most a small multiple of eps * sum_k A_k (1 + F_k max|t| + |p_k|), with
+    the amplitudes A_k = base^(-k H), frequencies F_k = base^k and phases
+    p_k.  The F_k |t| and |p_k| terms are the rounding of the cosine's
+    argument: fl(fl(F_k t) + p_k) is off by at most (eps/2) (|F_k t| +
+    |F_k t + p_k|) <= eps (F_k |t| + |p_k| / 2), and the cosine passes that
+    error on with a factor of at most one.  Their values agree within that
+    bound, not bitwise.
     """
 
     def __init__(
@@ -246,6 +250,11 @@ def sup_norm(f, a: float, b: float, n: int = 2048) -> float:
 
 _ALL_PAIRS_LIMIT = 2048
 _DENSE_LAGS = 64
+# pairs per block of lags: two blocks of differences stay near 0.5 MB
+_BLOCK_PAIRS = 1 << 15
+# relative slack of the per-lag bounds; it covers the few ulps by which the
+# rounding of a power and a quotient can move a bound, with a wide margin
+_BOUND_SLACK = 1e-12
 
 
 def _probe_times(p: SampledPath, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +277,30 @@ def _pair_schedule(n: int) -> list[int]:
     return lags
 
 
+def _lag_blocks(lags: np.ndarray, n: int) -> list[slice]:
+    """Consecutive runs of the schedule, each of about _BLOCK_PAIRS pairs."""
+    blocks, j = [], 0
+    while j < lags.size:
+        k = min(lags.size, j + max(1, _BLOCK_PAIRS // (n - int(lags[j]))))
+        blocks.append(slice(j, k))
+        j = k
+    return blocks
+
+
+def _lag_differences(windows: np.ndarray, x: np.ndarray, lags: np.ndarray, out: np.ndarray):
+    """Row j: x[lags[j] + i] - x[i] for i < n - lags[0], NaN past the end of x.
+
+    `windows[r]` is x[r : r + n] of x padded with n NaNs; the rows are written
+    into the front of `out`.
+    """
+    width = x.size - int(lags[0])
+    if lags[-1] - lags[0] == lags.size - 1:
+        rows = windows[lags[0] : lags[-1] + 1, :width]
+    else:
+        rows = windows[lags, :width]
+    return np.subtract(rows, x[:width], out=out[: lags.size * width].reshape(lags.size, width))
+
+
 def holder_seminorm_path(
     p: SampledPath, exponent: float, a: float, b: float
 ) -> HolderReport:
@@ -278,6 +311,15 @@ def holder_seminorm_path(
     a fixed stride schedule (every lag up to 64, then geometrically spaced
     lags).  It is a lower bound of the true seminorm by construction and is
     deterministic for fixed inputs.
+
+    The sup is found from per-lag bounds, in blocks of lags.  For each lag,
+    its largest |dv| over the smallest and over the largest dt**exponent of
+    that lag bound its ratios from above and from below, and the largest
+    lower bound is a floor under the sup.  The exact ratio |dv| / dt**exponent
+    is then computed, for all pairs of a lag, only on the lags whose upper
+    bound reaches that floor.  The result is the same sup, pair and pair count
+    as probing every pair: the first pair in (lag, index) order that attains
+    the sup is reported.
     """
     if not 0.0 < exponent <= 1.0:
         raise ValueError("exponent must lie in (0, 1]")
@@ -286,18 +328,47 @@ def holder_seminorm_path(
     if n < 2:
         raise ValueError("need at least two samples in [a, b]")
 
-    best = -1.0
-    best_pair = (float(ts[0]), float(ts[-1]))
-    n_pairs = 0
-    for lag in _pair_schedule(n):
-        dt = ts[lag:] - ts[:-lag]
-        ratios = np.abs(vals[lag:] - vals[:-lag]) / dt**exponent
-        n_pairs += ratios.size
-        m = int(np.argmax(ratios))
-        if ratios[m] > best:
-            best = float(ratios[m])
-            best_pair = (float(ts[m]), float(ts[m + lag]))
-    return HolderReport(best, exponent, best_pair, n_pairs)
+    lags = np.array(_pair_schedule(n))
+    blocks = _lag_blocks(lags, n)
+    win_t, win_v = (
+        np.lib.stride_tricks.sliding_window_view(np.concatenate([x, np.full(n, np.nan)]), n)
+        for x in (ts, vals)
+    )
+    buf_t, buf_v = np.empty(max(_BLOCK_PAIRS, n)), np.empty(max(_BLOCK_PAIRS, n))
+
+    # pass 1: per lag, the largest |dv| and the smallest and largest dt
+    top, dt_min, dt_max = np.empty(lags.size), np.empty(lags.size), np.empty(lags.size)
+    for blk in blocks:
+        dv = _lag_differences(win_v, vals, lags[blk], buf_v)
+        dt = _lag_differences(win_t, ts, lags[blk], buf_t)
+        np.fmax.reduce(np.abs(dv, out=dv), axis=1, out=top[blk])
+        np.fmin.reduce(dt, axis=1, out=dt_min[blk])
+        np.fmax.reduce(dt, axis=1, out=dt_max[blk])
+    # The pair of a lag's largest |dv| has a ratio of at least top / dt_max^exponent,
+    # so the sup is at least the largest of these, and no ratio of a lag exceeds
+    # top / dt_min^exponent.
+    floor = float(np.max(top / dt_max**exponent)) * (1.0 - _BOUND_SLACK)
+
+    # pass 2: the exact ratios, whole rows, of the lags whose bound reaches the floor
+    best, best_pair = -1.0, (float(ts[0]), float(ts[-1]))
+    for blk in blocks:
+        live = lags[blk][top[blk] >= floor * dt_min[blk] ** exponent]
+        if live.size == 0:
+            continue
+        dv = _lag_differences(win_v, vals, live, buf_v)
+        dt = _lag_differences(win_t, ts, live, buf_t)
+        np.abs(dv, out=dv)
+        # the ** operator of the per-pair ratio: numpy sends exponents 0.5 and
+        # 1 to sqrt and a copy, which np.power need not match bit for bit
+        dt **= exponent
+        dv /= dt
+        row_max = np.fmax.reduce(dv, axis=1)
+        row = int(np.argmax(row_max))
+        if row_max[row] > best:
+            best = float(row_max[row])
+            i = int(np.argmax(dv[row, : n - live[row]]))
+            best_pair = (float(ts[i]), float(ts[i + live[row]]))
+    return HolderReport(best, exponent, best_pair, int(np.sum(n - lags)))
 
 
 # ---------------------------------------------------------------------------

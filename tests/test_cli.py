@@ -270,6 +270,34 @@ def test_bounds_centered_subcommand(tmp_path, capsys):
     assert "ratio" in header
 
 
+_README_MEDIUM = ["--field", "product:g=(weierstrass:H=0.6,scales=12),h=(identity)",
+                  "--path", "weierstrass:H=0.7,scales=12", "--a", "0", "--b", "1",
+                  "--tau", "0.6", "--lambda", "1", "--gamma", "0.7", "--no-timestamp"]
+_STABILITY_CHECKS = {
+    "stability-w": (["--field2", "product:g=(weierstrass:H=0.65,scales=12),h=(identity)"],
+                    "STABILITY_MEDIUM_CAP", "medium_two_term"),
+    "stability-phi": (["--path2", "weierstrass:H=0.75,scales=12", "--theta", "0.8"],
+                      "STABILITY_PATH_CAP", "path_two_term"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_STABILITY_CHECKS))
+def test_bounds_stability_checks_its_cap(check, capsys, monkeypatch):
+    extra, cap, name = _STABILITY_CHECKS[check]
+    argv = ["bounds", "--check", check] + _README_MEDIUM + extra
+    code, out = run_cli(argv, capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert [c["name"] for c in doc["checks"]] == [name]
+    assert doc["checks"][0]["observed"] == doc["comparisons"]["lhs"]
+    # a cap below the observed constant fails the check: exit 1
+    monkeypatch.setattr(f"nlyoung.experiments.{cap}", -1.0)
+    code, out = run_cli(argv, capsys)
+    doc = json.loads(out)
+    assert code == 1 and not doc["passed"]
+    assert not doc["checks"][0]["passed"]
+
+
 def test_indefinite_subcommand_writes_csv(tmp_path, capsys):
     code, out = run_cli(
         ["indefinite", "--field", "product:g=(sin),h=(const:c=1)",

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlyoung.paths import (
+    HolderReport,
     SampledPath,
+    _pair_schedule,
     holder_seminorm_path,
     make_function,
     make_weierstrass,
@@ -95,6 +97,73 @@ def test_holder_seminorm_scaling_covariance():
         assert holder_seminorm_path(q, 0.6, 0.0, 1.0).seminorm == abs(c) * base
 
 
+def _holder_seminorm_oracle(p, exponent, a, b):
+    """Every probed pair's ratio, one lag at a time, kept first in (lag, index)
+    order: the reference holder_seminorm_path must equal bit for bit."""
+    r = p.restricted(a, b)
+    ts, vals = r.ts, r.values
+    best, best_pair, n_pairs = -1.0, (float(ts[0]), float(ts[-1])), 0
+    for lag in _pair_schedule(ts.size):
+        dt = ts[lag:] - ts[:-lag]
+        ratios = np.abs(vals[lag:] - vals[:-lag]) / dt**exponent
+        n_pairs += ratios.size
+        m = int(np.argmax(ratios))
+        if ratios[m] > best:
+            best = float(ratios[m])
+            best_pair = (float(ts[m]), float(ts[m + lag]))
+    return HolderReport(best, exponent, best_pair, n_pairs)
+
+
+def _probe_path(kind, n, uniform, seed):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, n)
+    if not uniform:
+        ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
+        ts /= ts[-1]
+    if kind == "walk":
+        vals = np.cumsum(rng.standard_normal(n))
+    elif kind == "weierstrass":
+        w = make_weierstrass(rng.uniform(0.2, 0.9), 12, phases=list(rng.uniform(0.0, 6.0, 12)))
+        vals = w(ts)
+    elif kind == "steps":
+        vals = np.repeat(rng.standard_normal(n // 8 + 1), 8)[:n]
+    elif kind == "const":
+        vals = np.full(n, 2.0)
+    elif kind == "linear":
+        vals = ts.copy()
+    else:
+        vals = np.sqrt(ts)
+    return SampledPath(ts, vals)
+
+
+# The first three examples are the inputs where pairs tie, so every lag stays
+# in play; the last two probe more than 2048 samples in a window and in all.
+@settings(derandomize=True, deadline=None, max_examples=40)
+@example(kind="const", n=1025, uniform=True, exponent=0.5, window=None, seed=0)
+@example(kind="linear", n=1025, uniform=True, exponent=1.0, window=None, seed=0)
+@example(kind="sqrt", n=1025, uniform=True, exponent=0.5, window=None, seed=0)
+@example(kind="walk", n=3001, uniform=False, exponent=0.4, window=(0.1, 0.9), seed=1)
+@example(kind="weierstrass", n=2049, uniform=True, exponent=0.7, window=None, seed=2)
+@given(
+    kind=st.sampled_from(["walk", "weierstrass", "steps", "const", "linear", "sqrt"]),
+    n=st.one_of(st.integers(2, 400), st.sampled_from([1025, 2048, 2049, 3001])),
+    uniform=st.booleans(),
+    exponent=st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.5, 1.0])),
+    window=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.4), st.floats(0.6, 0.95))),
+    seed=st.integers(0, 2**16),
+)
+def test_holder_seminorm_equals_all_pairs_oracle(kind, n, uniform, exponent, window, seed):
+    p = _probe_path(kind, n, uniform, seed)
+    a, b = window or (0.0, 1.0)
+    got = holder_seminorm_path(p, exponent, a, b)
+    want = _holder_seminorm_oracle(p, exponent, a, b)
+    assert got.seminorm == want.seminorm
+    assert got.arg_pair == want.arg_pair
+    assert got.n_pairs_checked == want.n_pairs_checked
+    m = p.restricted(a, b).ts.size
+    assert got.n_pairs_checked == sum(m - lag for lag in _pair_schedule(m))
+
+
 def test_holder_seminorm_argument_errors():
     p = sample_function(np.sin, 0.0, 1.0, 64)
     with pytest.raises(ValueError):
@@ -129,12 +198,14 @@ def test_weierstrass_in_place_sum_bitwise_equals_direct_sum(t):
 
 
 def _grid_bound(w, ts):
-    """The evaluators' accuracy contract c * eps * sum_k A_k (1 + F_k max|t|).
+    """The evaluators' accuracy contract c * eps * sum_k A_k (1 + F_k max|t| + |p_k|).
 
     c = 3: calling the function reaches 1.2 of the c = 1 bound against an
     extended-precision reference, and the two evaluators differ by at most the
-    sum of their errors."""
-    return 3.0 * np.finfo(float).eps * float(np.sum(w._amps * (1.0 + w._freqs * np.max(np.abs(ts)))))
+    sum of their errors.  The |p_k| term is the rounding of the cosine's
+    argument F_k t + p_k where F_k |t| is small."""
+    spread = 1.0 + w._freqs * np.max(np.abs(ts)) + np.abs(w.phases)
+    return 3.0 * np.finfo(float).eps * float(np.sum(w._amps * spread))
 
 
 def _longdouble_reference(w, start, step, count):
@@ -165,6 +236,7 @@ def test_weierstrass_on_grid_within_contract_of_extended_reference(base, start, 
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
+@example(H=0.5, scales=1, base=2.0, phase=4.0, start=0.0, step=1e-6, count=156)
 @given(
     H=st.floats(0.05, 0.95),
     scales=st.integers(1, 20),

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, default=1.0)
     p.add_argument("--big-l", type=float, default=1.0)
     p.add_argument("--beta-target", type=float, default=None)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--theta", type=float, default=xp.STABILITY_THETA)
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 

@@ -486,9 +486,12 @@ def refined_bound_study(
 # time on the pinned families and frozen with headroom
 STABILITY_MEDIUM_CAP = 10.0
 STABILITY_PATH_CAP = 10.0
+# the path-stability interpolation order of the study and of `bounds --check
+# stability-phi`; the pinned exponents need theta > 4/7
+STABILITY_THETA = 0.8
 
 
-def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = 0.8) -> RunReport:
+def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = STABILITY_THETA) -> RunReport:
     """Medium and path stability on pinned Weierstrass families.
 
     theta must keep tau + theta*lam*gamma above one for the path family

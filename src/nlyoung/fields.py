@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .fraccalc import _require_interval
-from .paths import PathLike, SampledPath, make_function, parse_descriptor, path_diff
+from .paths import _BLOCK_ENTRIES, PathLike, SampledPath, make_function, parse_descriptor, path_diff
 
 __all__ = [
     "Field",
@@ -419,7 +419,6 @@ class FieldHolderReport:
 _N_COARSE = 40
 _N_FINE = 384
 _MAX_LAG = 16
-_BLOCK = 2_000_000  # entries per block of a probe-term product
 
 
 def _axis_pairs(lo: float, hi: float):
@@ -437,17 +436,19 @@ def _axis_pairs(lo: float, hi: float):
 
 
 def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
-    """max |left @ right|, in row blocks of at most _BLOCK entries.
+    """max |left @ right|, in row blocks of about _BLOCK_ENTRIES entries.
 
     With one inner term the product is an outer product, whose largest
     entry is the product of the two largest factors.
     """
     if left.shape[1] == 1:
         return float(np.max(np.abs(left))) * float(np.max(np.abs(right)))
-    rows = max(1, _BLOCK // right.shape[1])
-    return float(np.max([
-        np.max(np.abs(left[i:i + rows] @ right)) for i in range(0, left.shape[0], rows)
-    ]))
+    rows = max(1, _BLOCK_ENTRIES // right.shape[1])
+    tops = []
+    for i in range(0, left.shape[0], rows):
+        block = left[i:i + rows] @ right
+        tops.append(np.max(np.abs(block, out=block)))
+    return float(np.max(tops))
 
 
 def holder_seminorm_field(

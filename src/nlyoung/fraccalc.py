@@ -16,6 +16,7 @@ of a uniform grid (quadrature.hat_weights).  The gamma function is math.gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import gamma
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .paths import path_diff, sample_uniform
 from .quadrature import (
+    _CACHED_PLAN_CELLS,
     QuadratureConfig,
     QuadResult,
     grid_plan,
@@ -79,13 +81,28 @@ def _finite(values, lo: float, hi: float) -> np.ndarray:
     return v
 
 
+def _operator_weights(p: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """hat_weights(p, cells) for a single-point operator.  A loop of calls at
+    one (alpha, n_nodes) reuses them: the last four pairs of grids of at most
+    quadrature._CACHED_PLAN_CELLS cells are kept (0.26 MB at most), larger
+    grids build theirs per call."""
+    if cells <= _CACHED_PLAN_CELLS:
+        return _kept_weights(p, cells)
+    return hat_weights(p, cells)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_weights(p: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    return hat_weights(p, cells)
+
+
 def _frac_integral(f, alpha: float, lo: float, hi: float, side: float, cfg: QuadratureConfig | None) -> QuadResult:
     cfg = cfg or QuadratureConfig()
     _require_order(alpha)
     n = cfg.n_nodes
     fv = _finite(f(_side_nodes(lo, hi, side, n)), lo, hi)
     length = hi - lo
-    w_lo, w_hi = hat_weights(alpha - 1.0, n)
+    w_lo, w_hi = _operator_weights(alpha - 1.0, n)
     inv_gamma = 1.0 / gamma(alpha)
 
     def evaluate(m: int) -> float:
@@ -128,7 +145,7 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
     ft = _scalar(f(t))
     d = _finite(path_diff(f, t, nodes), lo, hi)
     length = hi - lo
-    weights = hat_weights(-alpha - 1.0, n + 1)
+    weights = _operator_weights(-alpha - 1.0, n + 1)
     boundary = ft / length**alpha
     pref = 1.0 / gamma(1.0 - alpha)
 

@@ -39,6 +39,7 @@ from .fields import (
 )
 from .fraccalc import _require_interval, dl_dr_sampled, grid_rows
 from .paths import (
+    _BLOCK_ENTRIES,
     HolderReport,
     SampledPath,
     holder_seminorm_path,
@@ -254,13 +255,27 @@ def _interleave(coarse: np.ndarray, mid) -> np.ndarray:
     return out
 
 
+# intervals per germ call: a grid germ keeps about a dozen arrays of its
+# block's length live at once, so it takes a quarter of the block budget
+_GERM_BLOCK = _BLOCK_ENTRIES // 4
+
+
 def _germ_sums(w: Field, phi, a: float, b: float):
-    """Germ Riemann sums over the dyadic partitions of [a, b], coarsest first."""
+    """Germ Riemann sums over the dyadic partitions of [a, b], coarsest first.
+
+    The germ is called on blocks of _GERM_BLOCK intervals and written into
+    one array per level, whose np.sum is the same pairwise sum as that of a
+    single call on the whole level.
+    """
     germ = Germ(w, phi)
     k = 0
     while True:
         ts = np.linspace(a, b, 2**k + 1)
-        yield float(np.sum(germ(ts[:-1], ts[1:])))
+        level = np.empty(2**k)
+        for i in range(0, level.size, _GERM_BLOCK):
+            j = min(i + _GERM_BLOCK, level.size)
+            level[i:j] = germ(ts[i:j], ts[i + 1:j + 1])
+        yield float(np.sum(level))
         k += 1
 
 

@@ -250,8 +250,12 @@ def sup_norm(f, a: float, b: float, n: int = 2048) -> float:
 
 _ALL_PAIRS_LIMIT = 2048
 _DENSE_LAGS = 64
-# pairs per block of lags: two blocks of differences stay near 0.5 MB
-_BLOCK_PAIRS = 1 << 15
+# entries per temporary array of a blocked evaluation: 256 KB of floats, so a
+# block's temporaries stay in cache and glibc serves them from its heap rather
+# than mapping (and faulting in) fresh pages for every block.  The path
+# seminorm takes blocks of lags of this many pairs, the field seminorm's probe
+# products row blocks of this many entries, the sewing germ a quarter of it.
+_BLOCK_ENTRIES = 1 << 15
 # relative slack of the per-lag bounds; it covers the few ulps by which the
 # rounding of a power and a quotient can move a bound, with a wide margin
 _BOUND_SLACK = 1e-12
@@ -278,10 +282,10 @@ def _pair_schedule(n: int) -> list[int]:
 
 
 def _lag_blocks(lags: np.ndarray, n: int) -> list[slice]:
-    """Consecutive runs of the schedule, each of about _BLOCK_PAIRS pairs."""
+    """Consecutive runs of the schedule, each of about _BLOCK_ENTRIES pairs."""
     blocks, j = [], 0
     while j < lags.size:
-        k = min(lags.size, j + max(1, _BLOCK_PAIRS // (n - int(lags[j]))))
+        k = min(lags.size, j + max(1, _BLOCK_ENTRIES // (n - int(lags[j]))))
         blocks.append(slice(j, k))
         j = k
     return blocks
@@ -334,7 +338,7 @@ def holder_seminorm_path(
         np.lib.stride_tricks.sliding_window_view(np.concatenate([x, np.full(n, np.nan)]), n)
         for x in (ts, vals)
     )
-    buf_t, buf_v = np.empty(max(_BLOCK_PAIRS, n)), np.empty(max(_BLOCK_PAIRS, n))
+    buf_t, buf_v = np.empty(max(_BLOCK_ENTRIES, n)), np.empty(max(_BLOCK_ENTRIES, n))
 
     # pass 1: per lag, the largest |dv| and the smallest and largest dt
     top, dt_min, dt_max = np.empty(lags.size), np.empty(lags.size), np.empty(lags.size)

@@ -298,6 +298,20 @@ def test_bounds_stability_checks_its_cap(check, capsys, monkeypatch):
     assert not doc["checks"][0]["passed"]
 
 
+def test_bounds_stability_phi_theta_defaults_to_the_study(capsys):
+    # the README medium (tau 0.6, lam 1, gamma 0.7) needs theta > 4/7
+    argv = ["bounds", "--check", "stability-phi"] + _README_MEDIUM + [
+        "--path2", "weierstrass:H=0.75,scales=12"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["passed"]
+    assert run_cli(argv + ["--theta", "0.8"], capsys) == (0, out)
+    # tau + theta*lam*gamma = 0.95 <= 1: rejected before any output
+    code = main(argv + ["--theta", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "need tau + theta*lam*gamma > 1" in captured.err
+
+
 def test_indefinite_subcommand_writes_csv(tmp_path, capsys):
     code, out = run_cli(
         ["indefinite", "--field", "product:g=(sin),h=(const:c=1)",

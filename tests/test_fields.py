@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlyoung import fields
 from nlyoung.fields import (
     DifferenceField,
     Field,
@@ -455,16 +456,48 @@ def test_field_seminorm_of_self_difference_vanishes(name):
     assert zero.space_term <= 1e-13 * rep.space_term
 
 
+def _traced_peak(fn):
+    """The traced peak of the memory that fn allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_field_seminorm_memory_on_large_grid():
     w = _MEDIA["grid-257x65"]
     reg = Regularity(0.6, 0.8, 0.7)
-    tracemalloc.start()
-    try:
-        holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    assert _traced_peak(lambda: holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))) < 64e6
+
+
+@pytest.mark.parametrize("route, cap", [("seminorm", 4e6), ("sewing", 3e6)])
+def test_grid_data_medium_stays_block_sized(route, cap):
+    # the probe products and the germ calls of a sewing level are taken in
+    # cache-sized blocks; taken whole, they would hold about 30 and 6.8 MB
+    ts, xs, values, phi = _rank2_grid_and_path()
+    grid = GridField(ts, xs, values)
+    assert len(grid.separable_terms()) == 2
+    box = (float(xs[0]), float(xs[-1]))
+    runs = {
+        "seminorm": lambda: holder_seminorm_field(grid, Regularity(0.7, 1.0, 0.6), 0.0, 1.0, box),
+        "sewing": lambda: integrate_sewing(grid, phi, 0.0, 1.0, max_levels=16, tol=0.0),
+    }
+    assert _traced_peak(runs[route]) < cap
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3, 7])
+@pytest.mark.parametrize("block", [None, "one", "many"])
+def test_max_abs_product_equals_whole_product(inner, block, monkeypatch):
+    rng = np.random.RandomState(inner)
+    left, right = rng.randn(1000, inner), rng.randn(inner, 613) * 10.0 ** rng.randint(-3, 4, 613)
+    left[-1] *= 1e3  # the largest entry lies in the last, short block
+    if block == "one":
+        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", left.shape[0] * right.shape[1])
+    elif block == "many":  # 7 rows a block: 143 blocks, the last one of 6 rows
+        monkeypatch.setattr(fields, "_BLOCK_ENTRIES", 7 * right.shape[1] + 5)
+    assert fields._max_abs_product(left, right) == np.max(np.abs(left @ right))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlyoung import quadrature
+from nlyoung import fraccalc, quadrature
 from nlyoung.fraccalc import (
     dl_dr_integral,
     dl_dr_sampled,
@@ -152,6 +152,28 @@ def test_single_point_operators_reject_f_infinite_at_an_end(op, end):
     # or at the far end is an error, not an inf/nan value
     with pytest.raises(ValueError, match="finite on the closed interval"):
         _SINGLE_POINT_OPS[op](_infinite_at(end))
+
+
+@pytest.mark.parametrize("n_nodes, kept", [(512, True), (8192, False)])
+def test_single_point_operators_keep_their_hat_weights(monkeypatch, n_nodes, kept):
+    # repeated calls at one (alpha, n_nodes) build the weights once, on grids
+    # up to the kept plans' size; larger grids build theirs per call
+    built = []
+
+    def counting(p, n):
+        built.append((p, n))
+        return quadrature.hat_weights(p, n)
+
+    monkeypatch.setattr(fraccalc, "hat_weights", counting)
+    fraccalc._kept_weights.cache_clear()
+    cfg = QuadratureConfig(n_nodes=n_nodes)
+    calls = [lambda: frac_integral_left(np.sin, 0.37, 0.0, 1.0, cfg),
+             lambda: weyl_right(np.sin, 0.37, 0.0, 1.0, cfg=cfg)]
+    first = [call() for call in calls]
+    assert [call() for call in calls] == first
+    once = [(0.37 - 1.0, n_nodes), (-0.37 - 1.0, n_nodes + 1)]
+    assert built == (once if kept else 2 * once)
+    fraccalc._kept_weights.cache_clear()
 
 
 def test_small_budgets_cover_their_error_or_say_not_converged():

@@ -1,9 +1,12 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlyoung import nonlinear
 from nlyoung.fields import (
     DifferenceField,
     Field,
@@ -245,14 +248,19 @@ RAW_SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
 SEWING_PHI = _Counting(RAW_SEWING_PHI)
 
 
-def _naive_germ_sums(w, phi, a, b, levels):
-    """Per-level germ Riemann sums, every node of every level evaluated afresh."""
+def _one_shot_germ_sums(w, phi, a, b):
+    """Germ Riemann sums with one germ call on every node of every level."""
     germ = Germ(w, phi)
-    sums = []
-    for k in range(levels + 1):
+    k = 0
+    while True:
         ts = np.linspace(a, b, 2**k + 1)
-        sums.append(float(np.sum(germ(ts[:-1], ts[1:]))))
-    return tuple(sums)
+        yield float(np.sum(germ(ts[:-1], ts[1:])))
+        k += 1
+
+
+def _naive_germ_sums(w, phi, a, b, levels):
+    """The first levels + 1 sums of _one_shot_germ_sums."""
+    return tuple(itertools.islice(_one_shot_germ_sums(w, phi, a, b), levels + 1))
 
 
 @pytest.mark.parametrize("name", sorted(SEWING_MEDIA))
@@ -295,6 +303,33 @@ def _series_sum_bounds(g, h, phi, a, b, levels):
         rounding = 2.0 * (k + 2) * EPS * cells * g_osc * h_max
         bounds.append(cells * (2.0 * dg * h_max + g_osc * dh) + rounding)
     return np.array(bounds)
+
+
+# levels up to 13 take one germ call, finer ones several blocks
+@pytest.mark.parametrize("max_levels", [12, 13, 14, 15])
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["grid", "sum", "difference"]),
+    interval=st.sampled_from([(0.0, 1.0), (0.13, 0.71)]),
+)
+def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interval):
+    assert nonlinear._GERM_BLOCK == 2**13
+    rng = np.random.RandomState(seed)
+    ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-3.0, 3.0, 17)
+    w = GridField(ts, xs, rng.randn(ts.size, xs.size))
+    if kind == "sum":
+        w = SumField(w, ProductField(_phased(rng, 0.6, 10), np.sin))
+    elif kind == "difference":
+        w = DifferenceField(w, GridField(ts, xs, rng.randn(ts.size, xs.size)))
+    phi = _phased(rng, 0.7, 12)
+    a, b = interval
+    rep, trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonlinear, "_germ_sums", _one_shot_germ_sums)
+        want_rep, want_trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
+    assert trace == want_trace
+    assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
 
 
 @pytest.mark.parametrize("name", ["diagonal", "sin-product", "weierstrass-product"])

@@ -66,7 +66,6 @@ class ExperimentSpec:
     alphas: tuple = ()
     quad: dict = dataclass_field(default_factory=dict)
     tolerances: dict = dataclass_field(default_factory=dict)
-    output: str | None = None
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "methods": list(self.methods), "alphas": list(self.alphas)}

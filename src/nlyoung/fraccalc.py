@@ -25,8 +25,10 @@ import numpy as np
 from .paths import path_diff, sample_uniform
 from .quadrature import (
     _CACHED_PLAN_CELLS,
+    GridPlan,
     QuadratureConfig,
     QuadResult,
+    _within_tol,
     grid_plan,
     hat_weights,
     marchaud_conv,
@@ -162,7 +164,8 @@ def _weyl(f, alpha: float, lo: float, hi: float, side: float, holder_mu: float, 
     # Richardson cannot see
     f_max = float(np.max(np.abs(ft - d)))
     round_off = np.finfo(float).eps * f_max * (length / n) ** -alpha
-    return QuadResult(res.value, res.error_estimate + round_off, res.converged, res.levels)
+    err = res.error_estimate + round_off
+    return QuadResult(res.value, err, _within_tol(err, res.value, cfg.tol), res.levels, res.cells)
 
 
 def weyl_left(
@@ -214,10 +217,10 @@ def dl_dr_integral(
 ) -> QuadResult:
     """Evaluate  -int_a^b D^gam_{a+} f(t) * D^{1-gam}_{b-} g_{b-}(t) dt.
 
-    f and g are sampled once on the N + 1 uniform nodes of grid_rows and the
-    samples go to dl_dr_sampled, which computes the integral from them.
-    Requires mu_f > gam and beta_g > 1 - gam for the inner integrals to
-    converge.
+    f and g are sampled on the start grid of grid_rows, and on the odd
+    nodes of each finer grid that dl_dr_sampled asks for; the samples go to
+    dl_dr_sampled, which computes the integral from them.  Requires
+    mu_f > gam and beta_g > 1 - gam for the inner integrals to converge.
     """
     cfg = cfg or QuadratureConfig()
     if not 0.0 < gam < 1.0:
@@ -228,51 +231,116 @@ def dl_dr_integral(
         raise ValueError(f"need beta_g > 1 - gamma, got beta_g={beta_g}, gamma={gam}")
     _require_interval(a, b)
     fv, gv = grid_rows((f, g), a, b, cfg)
-    return dl_dr_sampled(fv, gv, gam, a, b, cfg)
+    return dl_dr_sampled(fv, gv, gam, a, b, cfg, lambda n: odd_rows((f, g), a, b, n))
+
+
+# The ladder's floor: below 4096 cells a level costs mostly fixed overhead,
+# and the estimates of coarser grids fall short on rough media.
+_MIN_START_CELLS = 4096
+
+
+def _start_cells(fns, a: float, b: float, cap: int) -> int:
+    """The start grid of the ladder up to `cap` cells: the coarsest cap/2^k
+    cells that is a multiple of 8, at least _MIN_START_CELLS and at least
+    (b - a) times the finest frequency of fns.
+
+    That is the largest `finest_frequency` (see paths.make_function) of fns;
+    a callable without one has an unknown scale, and its grid starts at the
+    cap.  The rule reads the inputs sampled on the grid only: a nonlinear
+    integral's h_k(phi) is not considered, so a rough h along phi is left to
+    the ladder's estimates.
+    """
+    finest = 0.0
+    for fn in fns:
+        freq = getattr(fn, "finest_frequency", None)
+        if freq is None:
+            return cap
+        finest = max(finest, freq)
+    n = cap
+    while n % 16 == 0 and n // 2 >= max(_MIN_START_CELLS, (b - a) * finest):
+        n //= 2
+    return n
 
 
 def grid_rows(fns, a: float, b: float, cfg: QuadratureConfig) -> np.ndarray:
-    """Row k holds fns[k] at the N + 1 uniform nodes np.linspace(a, b, N + 1),
-    N = cfg.grid_cells(), each sampled through paths.sample_uniform."""
-    big_n = cfg.grid_cells()
-    ts = np.linspace(a, b, big_n + 1)
+    """Row k holds fns[k] at the N + 1 uniform nodes np.linspace(a, b, N + 1)
+    of the start grid, N = _start_cells(fns, a, b, cfg.grid_cells()), each
+    sampled through paths.sample_uniform."""
+    n = _start_cells(fns, a, b, cfg.grid_cells())
+    return _sample_rows(fns, np.linspace(a, b, n + 1), (b - a) / n)
+
+
+def odd_rows(fns, a: float, b: float, n: int) -> np.ndarray:
+    """fns at the n/2 odd nodes of np.linspace(a, b, n + 1), bitwise those
+    nodes: a + i (b - a)/n for odd i, a uniform grid of step 2 (b - a)/n."""
+    step = (b - a) / n
+    return _sample_rows(fns, np.arange(1, n, 2) * step + a, 2.0 * step)
+
+
+def _sample_rows(fns, ts: np.ndarray, step: float) -> np.ndarray:
     out = np.empty((len(fns), ts.size))
     for k, fn in enumerate(fns):
-        out[k] = sample_uniform(fn, ts, (b - a) / big_n)
+        out[k] = sample_uniform(fn, ts, step)
     return out
 
 
-def dl_dr_sampled(fv, gv, gam: float, a: float, b: float, cfg: QuadratureConfig) -> QuadResult:
-    """dl_dr_integral from f and g sampled at the nodes of grid_rows(..., a, b, cfg).
+def _interleave(coarse: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Values at the nodes of the next dyadic grid (last axis) from those at
+    the coarse nodes and at the new odd nodes."""
+    out = np.empty((*coarse.shape[:-1], coarse.shape[-1] + odd.shape[-1]))
+    out[..., ::2] = coarse
+    out[..., 1::2] = odd
+    return out
+
+
+def dl_dr_sampled(fv, gv, gam: float, a: float, b: float, cfg: QuadratureConfig, odd) -> QuadResult:
+    """dl_dr_integral from f and g sampled at the N0 + 1 nodes of a start grid
+    of [a, b], such as grid_rows(..., a, b, cfg).
 
     Both Marchaud sums at every node are FFT convolutions, and the outer
     weights (t-a)^(-gam), (b-t)^(gam-1) are integrated exactly on each half
-    of [a, b].  Levels N/4, N/2, N subsample the nodes and are extrapolated
-    at the scheme's error order min(2-gam, 1+gam).  The kernels, ramps and
-    outer weights come from quadrature.grid_plan(gam, N), which keeps them
-    across solves on small grids.  The arguments are not validated again:
-    dl_dr_integral states what they must satisfy.
+    of [a, b].  Levels N0/4, N0/2, N0 subsample the nodes and are
+    extrapolated at the scheme's error order min(2-gam, 1+gam) by
+    refine_levels.  The grid doubles up to cfg.grid_cells() cells until the
+    estimate meets cfg.tol; each rung samples only the new nodes, by
+    odd(n), which returns f and g at the odd nodes of the n-cell grid
+    (odd_rows), and extends the hat weights by the new cells only.  The
+    kernels, ramps and outer weights come from a quadrature.GridPlan, kept
+    across solves (grid_plan) when the grid cannot grow.  The arguments are
+    not validated again: dl_dr_integral states what they must satisfy.
 
     fv and gv may also hold K rows each; the result is then
     sum_k int f_k dg_k, with the rows' integrands summed at the nodes before
     the outer sum and the one extrapolation.
     """
-    big_n = cfg.grid_cells()
-    plan = grid_plan(gam, big_n)
+    start = fv.shape[-1] - 1
+    cap = cfg.grid_cells()
+    plan = grid_plan(gam, start) if cap == start else GridPlan(gam, start)
     pref = -1.0 / (gamma(1.0 - gam) * gamma(gam))
+    samples = [fv, gv]  # on the finest grid reached
+    # the levels' arrays, sized for the cap; a level touches the pages it
+    # uses.  work holds marchaud_conv's temporaries, then the g increments.
+    rows = fv.size // (start + 1)
+    dl_buf, dr_buf, work = (np.empty(k * (cap + 1)) for k in (rows, rows, max(rows, 8)))
 
     def evaluate(n: int) -> float:
-        fn, gn = fv[..., :: big_n // n], gv[..., :: big_n // n]
-        dl_hat = marchaud_conv(fn, plan.kernel(n, 0))  # becomes (t-a)^gam Gamma(1-gam) DL f
+        if n > samples[0].shape[-1] - 1:  # a new rung: n is twice the finest grid
+            samples[:] = (_interleave(x, y) for x, y in zip(samples, odd(n)))
+            plan.grow(n)
+        stride = (samples[0].shape[-1] - 1) // n
+        fn, gn = (x[..., ::stride] for x in samples)
+        shape, size = fn.shape, fn.size
+        # becomes (t-a)^gam Gamma(1-gam) DL f
+        dl_hat = marchaud_conv(fn, plan.kernel(n, 0), dl_buf[:size].reshape(shape), work)
         dl_hat *= plan.ramp(n, 0)
         dl_hat += fn
-        dr_hat = marchaud_conv(gn[..., ::-1], plan.kernel(n, 1))[..., ::-1]
+        dr_hat = marchaud_conv(gn[..., ::-1], plan.kernel(n, 1), dr_buf[:size].reshape(shape), work)[..., ::-1]
         dr_hat *= plan.ramp(n, 1)
-        dr_hat += gn - gn[..., -1:]
+        dr_hat += np.subtract(gn, gn[..., -1:], out=work[:size].reshape(shape))
         dl_hat *= dr_hat
         return pref * plan.outer_sum(dl_hat.reshape(-1, n + 1).sum(axis=0))
 
-    return refine_levels(evaluate, big_n, cfg.tol, order=min(2.0 - gam, 1.0 + gam))
+    return refine_levels(evaluate, start, cfg.tol, min(2.0 - gam, 1.0 + gam), cap)
 
 
 def riemann_stieltjes_midpoint(f, g, a: float, b: float, n: int) -> float:

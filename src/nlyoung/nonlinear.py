@@ -37,7 +37,7 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
-from .fraccalc import _require_interval, dl_dr_sampled, grid_rows
+from .fraccalc import _interleave, _require_interval, dl_dr_sampled, grid_rows, odd_rows
 from .paths import (
     _BLOCK_ENTRIES,
     HolderReport,
@@ -165,9 +165,11 @@ def integrate_fractional(
 
     The expansion is linear in W, so for W = sum_k g_k(t) h_k(x) it is
     sum_k int h_k(phi) dg_k, each term the fractional Young form.  phi and
-    the g_k are sampled once on the params["grid_cells"] cells of
-    fraccalc.grid_rows, and fraccalc.dl_dr_sampled runs on the stacked rows
-    h_k(phi) and g_k.  A medium without separable_terms()
+    the g_k are sampled on the start grid of fraccalc.grid_rows, and
+    fraccalc.dl_dr_sampled runs on the stacked rows h_k(phi) and g_k,
+    doubling the grid, each new node sampled once, until the estimate meets
+    cfg.tol or the grid has cfg.grid_cells() cells; params["grid_cells"] is
+    the finest grid used.  A medium without separable_terms()
     raises ValueError; sample it into a GridField.  The bound_ratios["holder"]
     entry divides |value| by the estimated right side of the a-priori bound
     ||W|| (b-a)^tau + ||W|| ||phi||^lam (b-a)^(tau+lam*gamma).
@@ -182,6 +184,19 @@ def integrate_fractional(
             f"medium {w.descriptor!r} has no separable expansion; "
             "sample it into a GridField to integrate it"
         )
+    g_terms, h_terms = zip(*terms)
+    fns = (phi, *g_terms)
+
+    def split(rows):  # the rows phi, g_1..g_K into h_1(phi)..h_K(phi) and g_1..g_K
+        h_rows = np.empty((len(h_terms), rows.shape[1]))
+        for k, h in enumerate(h_terms):
+            h_rows[k] = h(rows[0])
+        return h_rows, rows[1:]
+
+    # reg.require_admissible() gave lam*gamma > alpha > 1 - tau, which the kernel needs
+    combined = dl_dr_sampled(
+        *split(grid_rows(fns, a, b, cfg)), reg.alpha, a, b, cfg, lambda n: split(odd_rows(fns, a, b, n))
+    )
     params = {
         "a": a,
         "b": b,
@@ -189,15 +204,8 @@ def integrate_fractional(
         "lam": reg.lam,
         "gamma": reg.gamma,
         "n_outer": cfg.n_outer,
-        "grid_cells": cfg.grid_cells(),
+        "grid_cells": combined.cells,
     }
-    g_terms, h_terms = zip(*terms)
-    rows = grid_rows((phi, *g_terms), a, b, cfg)
-    h_rows = np.empty((len(h_terms), rows.shape[1]))
-    for k, h in enumerate(h_terms):
-        h_rows[k] = h(rows[0])
-    # reg.require_admissible() gave lam*gamma > alpha > 1 - tau, which the kernel needs
-    combined = dl_dr_sampled(h_rows, rows[1:], reg.alpha, a, b, cfg)
 
     bound_ratios: dict = {}
     if with_bounds:
@@ -244,15 +252,6 @@ class SewingTrace:
             raise ValueError("not enough levels in the requested range")
         slope = np.polyfit(ks[mask], np.log2(diffs[mask]), 1)[0]
         return float(-slope)
-
-
-def _interleave(coarse: np.ndarray, mid) -> np.ndarray:
-    """Values at the nodes of the next dyadic level from the coarse nodes and
-    the new midpoints."""
-    out = np.empty(coarse.size + np.size(mid))
-    out[::2] = coarse
-    out[1::2] = mid
-    return out
 
 
 # intervals per germ call: a grid germ keeps about a dozen arrays of its
@@ -526,7 +525,8 @@ def indefinite_integral(
     """t_i -> int_a^(t_i) W(ds, phi_s) on a uniform grid, built by additivity.
 
     Each increment is one fractional evaluation on [t_(i-1), t_i], by
-    default at QuadratureConfig(n_outer=96): 576 grid cells, so all of them
+    default at QuadratureConfig(n_outer=96): a cap of 576 grid cells, below
+    the ladder's 4096-cell floor, so each runs one grid and all of them
     share one kept quadrature.grid_plan.  The regression_slope diagnostic
     fits log(median |increment|) against log(lag) over dyadic lags and
     should sit near tau.

@@ -59,6 +59,11 @@ class SampledPath:
     def domain(self) -> tuple[float, float]:
         return float(self.ts[0]), float(self.ts[-1])
 
+    @property
+    def finest_frequency(self) -> float:
+        """One over the smallest spacing of the stamps (see make_function)."""
+        return 1.0 / float(np.min(np.diff(self.ts)))
+
     def _check_domain(self, t: np.ndarray) -> None:
         lo, hi = self.domain
         tmin, tmax = np.min(t), np.max(t)
@@ -195,6 +200,11 @@ class WeierstrassFunction:
         left = np.concatenate([np.cos(outer) * self._amps, np.sin(outer) * -self._amps], axis=1)
         right = np.concatenate([np.cos(inner), np.sin(inner)])
         return (left @ right).ravel()[:count]
+
+    @property
+    def finest_frequency(self) -> float:
+        """base**scales, base times the highest frequency (see make_function)."""
+        return self.base**self.scales
 
     @property
     def descriptor(self) -> str:
@@ -379,8 +389,9 @@ def holder_seminorm_path(
 # descriptor-addressable generators
 
 
-def _tag(fn, desc: str):
+def _tag(fn, desc: str, finest: float = 0.0):
     fn.descriptor = desc
+    fn.finest_frequency = finest
     return fn
 
 
@@ -426,6 +437,12 @@ def make_function(desc: str) -> PathLike:
     Supported: identity, const:c=..., linear:slope=...,intercept=...,
     monomial:p=..., sin[:freq=,phase=], cos[:freq=,phase=], sqrt,
     weierstrass:H=...,scales=...[,base=...][,phases=p0|p1|...].
+
+    Each result has a `finest_frequency`: the cells per unit length that a
+    uniform grid needs to resolve it.  It is 2 |freq| for sin and cos, as
+    base**scales is for a base-2 Weierstrass series (base times its highest
+    frequency), and 0 for the other kinds, which have no scale.  A
+    SampledPath's is one over its smallest spacing.
     """
     name, args = parse_descriptor(desc)
     if name == "identity":
@@ -443,11 +460,11 @@ def make_function(desc: str) -> PathLike:
     if name == "sin":
         w = float(args.get("freq", "1"))
         ph = float(args.get("phase", "0"))
-        return _tag(lambda t: np.sin(w * np.asarray(t, dtype=float) + ph), desc)
+        return _tag(lambda t: np.sin(w * np.asarray(t, dtype=float) + ph), desc, 2.0 * abs(w))
     if name == "cos":
         w = float(args.get("freq", "1"))
         ph = float(args.get("phase", "0"))
-        return _tag(lambda t: np.cos(w * np.asarray(t, dtype=float) + ph), desc)
+        return _tag(lambda t: np.cos(w * np.asarray(t, dtype=float) + ph), desc, 2.0 * abs(w))
     if name == "sqrt":
         return _tag(lambda t: np.sqrt(np.asarray(t, dtype=float)), "sqrt")
     if name == "weierstrass":

@@ -12,6 +12,7 @@ from nlyoung.fraccalc import (
     frac_integral_left,
     frac_integral_right,
     grid_rows,
+    odd_rows,
     riemann_stieltjes_midpoint,
     smooth_parts_identity_check,
     weyl_left,
@@ -321,10 +322,15 @@ def test_dl_dr_requires_admissible_orders():
 def test_dl_dr_sampled_cold_and_warm_plan_bitwise_equal(n_rows):
     # 576 cells, an indefinite integral's grid: the plan is kept after the first solve
     cfg = QuadratureConfig(n_outer=96)
-    fv = grid_rows([lambda t, k=k: np.sin((k + 1.0) * t) for k in range(n_rows)], 0.2, 0.7, cfg)
-    gv = grid_rows([lambda t, k=k: np.cos(t / (k + 1.0)) for k in range(n_rows)], 0.2, 0.7, cfg)
+    fs = [lambda t, k=k: np.sin((k + 1.0) * t) for k in range(n_rows)]
+    gs = [lambda t, k=k: np.cos(t / (k + 1.0)) for k in range(n_rows)]
+    fv, gv = grid_rows(fs, 0.2, 0.7, cfg), grid_rows(gs, 0.2, 0.7, cfg)
+
+    def odd(n):
+        return odd_rows(fs, 0.2, 0.7, n), odd_rows(gs, 0.2, 0.7, n)
+
     quadrature._kept_plan.cache_clear()
-    cold = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg)
+    cold = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg, odd)
     assert quadrature.grid_plan(0.35, cfg.grid_cells()) is quadrature.grid_plan(0.35, cfg.grid_cells())
-    warm = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg)
+    warm = dl_dr_sampled(fv, gv, 0.35, 0.2, 0.7, cfg, odd)
     assert cold == warm

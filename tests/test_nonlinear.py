@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlyoung import nonlinear
+from nlyoung import fraccalc, nonlinear
+from nlyoung.experiments import load_path, pinned_combos
 from nlyoung.fields import (
     DifferenceField,
     Field,
@@ -15,8 +17,17 @@ from nlyoung.fields import (
     Regularity,
     RegularityError,
     SumField,
+    make_field,
 )
-from nlyoung.fraccalc import dl_dr_integral, dl_dr_sampled, grid_rows
+from nlyoung.fraccalc import (
+    dl_dr_integral,
+    dl_dr_sampled,
+    frac_integral_left,
+    frac_integral_right,
+    grid_rows,
+    weyl_left,
+    weyl_right,
+)
 from nlyoung.iterated import DiagonalField, _Weighted
 from nlyoung.nonlinear import (
     Germ,
@@ -172,8 +183,12 @@ def test_separable_media_grid_route_of_raw_series_within_evaluator_bound():
     phi_v, g_v = grid_rows((_Counting(phi), _Counting(g)), 0.1, 0.9, cfg)
     f_v = h(phi_v)
     unit = np.eye(phi_v.size)
-    d_f = np.array([dl_dr_sampled(u, g_v, reg.alpha, 0.1, 0.9, cfg).value for u in unit])
-    d_g = np.array([dl_dr_sampled(f_v, u, reg.alpha, 0.1, 0.9, cfg).value for u in unit])
+
+    def odd(n):  # the 256-cell cap is the start grid: no rung samples
+        raise AssertionError(f"a {n}-cell rung past the cap")
+
+    d_f = np.array([dl_dr_sampled(u, g_v, reg.alpha, 0.1, 0.9, cfg, odd).value for u in unit])
+    d_g = np.array([dl_dr_sampled(f_v, u, reg.alpha, 0.1, 0.9, cfg, odd).value for u in unit])
     lip, err = _h_sensitivity(h, float(np.max(np.abs(phi_v))) + _grid_gap(phi, 0.9))
     df = lip * _grid_gap(phi, 0.9) + 2.0 * err
     dg = _grid_gap(g, 0.9)
@@ -726,3 +741,125 @@ def test_stability_in_path_requires_theta_window(rough_case):
         stability_in_path(w, phi, phi, reg, 1.5, 0.0, 1.0, cfg)
     with pytest.raises(RegularityError):
         stability_in_path(w, phi, phi, reg, 0.3, 0.0, 1.0, cfg)  # tau+theta*lam*gamma < 1
+
+
+# ---------------------------------------------------------------------------
+# the grid ladder: tol picks the grid, n_outer caps it
+
+
+@pytest.fixture
+def ladders(monkeypatch):
+    """(start, cap, levels evaluated) of every refine_levels call in fraccalc."""
+    seen = []
+    real = fraccalc.refine_levels
+
+    def recording(evaluate, n, tol, order, cap=None):
+        levels = []
+
+        def counted(m):
+            levels.append(m)
+            return evaluate(m)
+
+        seen.append((n, cap, levels))
+        return real(counted, n, tol, order, cap)
+
+    monkeypatch.setattr(fraccalc, "refine_levels", recording)
+    return seen
+
+
+LADDER_REG = Regularity(0.6, 1.0, 0.7)
+
+
+def _ladder_medium(scales=12):
+    g = make_weierstrass(0.6, 12, phases=np.linspace(0.0, 6.0, 12))
+    return ProductField(g, ident), make_weierstrass(0.7, scales, phases=np.linspace(1.0, 5.0, scales))
+
+
+@pytest.mark.parametrize(
+    "phi, n_outer, start",
+    [
+        (_ladder_medium(14)[1], 1024, 16384),  # base**scales = 2^14 on [0, 1]
+        (_ladder_medium(12)[1], 1024, 4096),
+        (lambda t: np.sin(3.0 * t), 512, 16384),  # opaque: the cap
+        (sample_function(np.sin, 0.0, 1.0, 2048), 1024, 4096),  # 1/spacing 2048: the floor
+        (sample_function(np.sin, 0.0, 1.0, 10000), 1024, 16384),
+        (ident, 1024, 4096),  # smooth
+        (make_function("sin:freq=3000"), 1024, 8192),  # 2 |freq| = 6000
+        (make_function("sin:freq=30000"), 1024, 65536),  # 60,000: the cap
+        (_ladder_medium(14)[1], 256, 4096),  # a cap of 4096 runs one grid
+    ],
+    ids=["wei14", "wei12", "opaque", "sampled2048", "sampled10000", "identity", "sin3000", "sin30000", "cap4096"],
+)
+def test_ladder_start_grid_from_the_inputs_finest_scale(ladders, phi, n_outer, start):
+    cfg = QuadratureConfig(n_outer=n_outer, tol=1.0)  # any estimate meets it: the solve stops at its start
+    rep = integrate_fractional(_ladder_medium()[0], phi, LADDER_REG, 0.0, 1.0, cfg, with_bounds=False)
+    assert ladders == [(start, cfg.grid_cells(), [start // 4, start // 2, start])]
+    assert rep.params["grid_cells"] == start and rep.converged
+
+
+def test_ladder_n_outer_96_one_grid_bitwise_as_before(ladders):
+    # 576 cells, below 4096: one grid, with the bits of the single-grid route
+    g, h, phi = GRID_ROUTE_SERIES
+    cfg = QuadratureConfig(n_outer=96)
+    pinned = {
+        (0.1, 0.9): ("-0x1.a82255a754b93p-4", "0x1.15c5e1caafd44p-7"),
+        (0.25, 0.2578125): ("0x1.61a1544702006p-9", "0x1.9fe3177da2bd0p-19"),
+    }
+    for (a, b), (value, estimate) in pinned.items():
+        rep = integrate_fractional(ProductField(g, h), phi, Regularity(0.7, 0.8, 0.625), a, b, cfg, with_bounds=False)
+        assert (rep.value.hex(), rep.error_estimate.hex(), rep.params["grid_cells"]) == (value, estimate, 576)
+    assert ladders == [(576, 576, [144, 288, 576])] * 2
+
+
+def test_ladder_each_level_once_and_never_past_the_cap(ladders):
+    # the README medium never meets tol=1e-5: it climbs from 4096 to the cap
+    w, phi = _ladder_medium()
+    cfg = QuadratureConfig()
+    rep = integrate_fractional(w, phi, LADDER_REG, 0.0, 1.0, cfg, with_bounds=False)
+    f, g = _ladder_medium()[1], w.g
+    young = young_integral(f, g, 0.7, 0.6, 0.0, 1.0)  # n_outer=768: 36,864 cells from 4,608
+    assert [(start, cap) for start, cap, _ in ladders] == [(4096, 16384), (4608, 36864)]
+    for start, cap, levels in ladders:
+        assert levels == [start // 4, start // 2] + [start * 2**k for k in range(len(levels) - 2)]
+        assert max(levels) <= cap
+    assert rep.params["grid_cells"] == ladders[0][2][-1]
+    assert rep.converged == (rep.error_estimate <= cfg.tol * max(1.0, abs(rep.value)))
+    assert young.converged == (young.error_estimate <= 1e-5 * max(1.0, abs(young.value)))
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+def test_converged_is_the_stop_rule_on_every_route(ladders, tol):
+    cfg = QuadratureConfig(n_nodes=1024, n_outer=512, tol=tol)
+    w, phi = _ladder_medium()
+    results = [
+        integrate_fractional(w, phi, LADDER_REG, 0.0, 1.0, cfg, with_bounds=False),
+        young_integral(phi, w.g, 0.7, 0.6, 0.0, 1.0, cfg=cfg),
+        frac_integral_left(np.sin, 0.4, 0.2, 1.3, cfg),
+        frac_integral_right(np.sin, 0.4, 0.2, 1.3, cfg),
+        weyl_left(np.sin, 0.4, 0.2, 1.3, cfg=cfg),
+        weyl_right(np.sin, 0.4, 0.2, 1.3, cfg=cfg),
+    ]
+    for res in results:
+        assert res.converged == (res.error_estimate <= tol * max(1.0, abs(res.value)))
+    for start, cap, levels in ladders:
+        assert max(levels) <= (cap or start) and len(levels) == len(set(levels))
+
+
+@functools.lru_cache(maxsize=1)
+def _additivity_case():
+    combo = pinned_combos()[3]  # wei-e03-steep, the additivity study's closest case
+    w, phi = make_field(combo.field), load_path(combo.path)
+    reg = Regularity(combo.tau, combo.lam, combo.gamma)
+    cfg = QuadratureConfig(n_outer=1024, tol=5e-3)
+    return w, phi, reg, cfg, integrate_fractional(w, phi, reg, 0.0, 1.0, cfg, with_bounds=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(cut=st.floats(0.02, 0.98))
+def test_fractional_additivity_at_random_cuts_within_estimates(cut):
+    # each piece picks its own grid, so additivity holds only within the estimates
+    w, phi, reg, cfg, full = _additivity_case()
+    left = integrate_fractional(w, phi, reg, 0.0, cut, cfg, with_bounds=False)
+    right = integrate_fractional(w, phi, reg, cut, 1.0, cfg, with_bounds=False)
+    gap = abs(full.value - left.value - right.value)
+    assert gap <= full.error_estimate + left.error_estimate + right.error_estimate

@@ -309,3 +309,16 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(p.ts, q.ts)
     assert np.array_equal(p.values, q.values)
     assert fn.read_text().splitlines()[0] == "t,value"
+
+
+def test_finest_frequency_of_every_kind():
+    # the cells per unit length a uniform grid needs: 2 |freq| for sin and cos,
+    # as base**scales is for a base-2 series, none for the scale-free kinds
+    kinds = {
+        "identity": 0.0, "const:c=2": 0.0, "linear:slope=3": 0.0, "monomial:p=2": 0.0, "sqrt": 0.0,
+        "sin:freq=-40": 80.0, "cos:freq=7,phase=1": 14.0, "weierstrass:H=0.6,scales=12": 4096.0,
+        "weierstrass:H=0.6,scales=3,base=3": 27.0,
+    }
+    for desc, want in kinds.items():
+        assert make_function(desc).finest_frequency == want, desc
+    assert SampledPath(np.array([0.0, 0.25, 0.3, 1.0]), np.zeros(4)).finest_frequency == pytest.approx(20.0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlyoung.fields import Regularity
 from nlyoung.quadrature import (
+    GridPlan,
     QuadratureConfig,
     grid_plan,
     hat_weights,
@@ -85,6 +87,65 @@ def test_hat_weights_match_reference(p):
         np.testing.assert_allclose([lo[k], hi[k]], want, rtol=1e-13, atol=0.0)
 
 
+def _hat_weights_36(p, n):
+    """(lo, hi) of cells 1..n-1 by the midpoint series summed over 36 terms,
+    hat_weights' sum on its near cells, in the same operations."""
+    j = np.arange(36)
+    binom = np.cumprod(np.concatenate([[1.0], (p - j[:-1]) / (j[:-1] + 1.0)]))
+    coef = np.stack([binom[0::2] / (j[0::2] + 1.0), binom[1::2] / (2.0 * (j[1::2] + 2.0))])
+    m = np.arange(1, n) + 0.5
+    t2 = (0.5 / m) ** 2
+    series = np.repeat(coef[:, -1:], m.size, axis=1)
+    for c in coef[:, -2::-1].T:
+        series *= t2
+        series += c[:, None]
+    mass, first = series
+    scale = 0.5 * m**p
+    mass *= scale
+    first *= scale / m
+    return mass - first, mass + first
+
+
+# the fractional orders of the routes: the default alpha of the pinned media,
+# the README medium and grid-data, the Young integral's gamma, and the
+# single-point operators' orders of the tests and demos
+ROUTE_ORDERS = sorted(
+    {Regularity(*reg).alpha for reg in [(0.6, 1.0, 0.6), (0.7, 0.8, 0.625), (0.6, 1.0, 0.7), (0.75, 1.0, 0.55),
+                                         (0.8, 1.0, 0.7), (0.9, 0.75, 0.8), (0.7, 1.0, 0.6)]}
+    | {0.65, 0.37, 0.4, 0.3}
+)
+
+
+@pytest.mark.parametrize("alpha", ROUTE_ORDERS)
+def test_hat_weights_far_cells_bitwise_equal_to_36_terms(alpha):
+    # from cell 64 on the series stops after fewer terms; the terms left out
+    # are far below the last bit, so every weight keeps its bits.  The powers
+    # are the grid route's four and the single-point operators' two.
+    for p in {-alpha - 1.0, alpha - 2.0, -alpha, alpha - 1.0}:
+        lo, hi = hat_weights(p, 65537)
+        want_lo, want_hi = _hat_weights_36(p, 65537)
+        assert np.array_equal(lo[1:], want_lo) and np.array_equal(hi[1:], want_hi), p
+
+
+@pytest.mark.parametrize("start", [1, 63, 64, 65, 4097])
+def test_hat_weights_of_new_cells_only_bitwise(start):
+    # a doubled grid computes its new cells only, with the bits of a whole grid
+    for p in (-1.35, -0.35, 0.65 - 2.0):
+        whole = hat_weights(p, 8193)
+        part = hat_weights(p, 8193, start=start)
+        assert all(np.array_equal(w[start:], q) and not q.flags.writeable for w, q in zip(whole, part))
+
+
+def test_grid_plan_grown_equals_built():
+    grown = GridPlan(0.45, 4096)
+    grown.grow(8192)
+    grown.grow(16384)
+    built = GridPlan(0.45, 16384)
+    assert [pair[0].size for pair in grown.weights] == [16385, 16385, 8192, 8192]
+    for pair, want in zip(grown.weights, built.weights):
+        assert all(np.array_equal(w, q) and not w.flags.writeable for w, q in zip(pair, want))
+
+
 def test_hat_weights_reject_bad_powers():
     for p in (-1.0, -2.0, -2.5):
         with pytest.raises(ValueError):
@@ -120,6 +181,18 @@ def test_grid_plan_parts_read_only_and_kept_for_small_grids_only(cells):
     assert (grid_plan(0.4, cells) is plan) == kept
     # one plan is kept: another order replaces it
     assert grid_plan(0.6, cells) is not plan
+
+
+def test_marchaud_conv_reused_buffers_bitwise():
+    # one solve's levels share out and work: the bits are those of fresh arrays
+    lo, hi = hat_weights(-1.45, 1025)
+    out, work = np.empty(3 * 1025), np.empty(8 * 1025)
+    for n in (256, 512, 1024):
+        rows = np.random.default_rng(n).normal(size=(3, n + 1))
+        for keep in (False, True):
+            kernel = marchaud_kernel(lo, hi, n, keep)
+            got = marchaud_conv(rows, kernel, out[: rows.size].reshape(rows.shape), work)
+            assert np.array_equal(got, marchaud_conv(rows, kernel))
 
 
 @pytest.mark.parametrize("p", [-1.8, -1.5, -1.2])
@@ -179,3 +252,44 @@ def test_refine_levels_fixed_order():
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert res.error_estimate == pytest.approx(2.0 * (res.levels[2] - 2.0), rel=1e-9)
     assert type(res.converged) is bool
+
+
+def _levels(v):
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return v(n)
+
+    return calls, evaluate
+
+
+def test_refine_levels_ladder_doubles_until_tol():
+    # v(n) = 1 + 50/n^2: the estimate falls 4x a rung and meets 1e-4 at 1024 cells
+    calls, evaluate = _levels(lambda n: 1.0 + 50.0 / n**2)
+    res = refine_levels(evaluate, 64, 1e-4, order=2.0, cap=4096)
+    assert calls == [16, 32, 64, 128, 256, 512, 1024]  # each level once
+    assert res.cells == 1024 and res.levels == tuple(1.0 + 50.0 / n**2 for n in calls)
+    assert res.converged and res.error_estimate <= 1e-4
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_refine_levels_ladder_stops_at_cap():
+    calls, evaluate = _levels(lambda n: 1.0 + 50.0 / n**2)
+    res = refine_levels(evaluate, 64, 1e-9, order=2.0, cap=4096)
+    assert calls[-1] == res.cells == 4096 and len(calls) == len(set(calls)) == 9
+    assert not res.converged and res.error_estimate > 1e-9
+    # a cap that is not the start times a power of two is never passed
+    calls, evaluate = _levels(lambda n: 1.0 + 50.0 / n**2)
+    assert refine_levels(evaluate, 64, 1e-9, order=2.0, cap=1000).cells == calls[-1] == 512
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(c=st.floats(-1e3, 1e3), q=st.floats(0.5, 2.5), tol=st.floats(1e-9, 1e-1), k=st.integers(0, 4))
+def test_refine_levels_converged_is_the_stop_rule(c, q, tol, k):
+    calls, evaluate = _levels(lambda n: 0.3 + c / n**q)
+    res = refine_levels(evaluate, 32, tol, order=q, cap=32 * 2**k)
+    assert res.converged == (res.error_estimate <= tol * max(1.0, abs(res.value)))
+    assert max(calls) == res.cells <= 32 * 2**k and len(calls) == len(set(calls))
+    # it stops at the first rung that meets tol, or at the cap
+    assert res.converged or res.cells == 32 * 2**k

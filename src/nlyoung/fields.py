@@ -223,12 +223,23 @@ class DifferenceField(Field):
         return ta + [(g, _Negated(h)) for g, h in tb]
 
 
+# a sorted query array at least this many times as long as the grid axis is
+# located by one merge of the axis into it instead of a binary search per query
+_MERGE_RATIO = 4
+
+
 class GridField(Field):
     """Bilinear interpolation of nodal values W(ts[i], xs[j]).
 
     Increments are assembled from nodal differences (rows differenced before
     interpolation, mixed second differences for rectangles) so that the
     common interpolation terms cancel symbolically rather than in floats.
+    The differences of adjacent rows V[p+1] - V[p] are tabled once, and
+    increment_t reads them from the table by flat index.  Queries are found
+    in their cells by a binary search, or, when sorted and at least
+    _MERGE_RATIO times as many as the axis nodes (the sewing germ's
+    partition nodes), by one merge of the axis into them; both give the
+    same cells bit for bit.
     """
 
     def __init__(self, ts, xs, values, descriptor: str | None = None) -> None:
@@ -243,21 +254,44 @@ class GridField(Field):
             raise ValueError("values must have shape (len(ts), len(xs))")
         if not (np.all(np.diff(self.ts) > 0) and np.all(np.diff(self.xs) > 0)):
             raise ValueError("grid axes must be strictly increasing")
+        if not (np.all(np.isfinite(self.ts)) and np.all(np.isfinite(self.xs))):
+            raise ValueError("grid axes must be finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        for arr in (self.ts, self.xs, self.values):
+        # V[p+1] - V[p] for every p, flattened, read by increment_t
+        self._row_steps = np.diff(self.values, axis=0).ravel()
+        for arr in (self.ts, self.xs, self.values, self._row_steps):
             arr.flags.writeable = False
         self.descriptor = descriptor or f"grid:{self.ts.size}x{self.xs.size}"
 
     def _locate(self, axis: np.ndarray, v):
+        """Cell indices and in-cell fractions of the queries v on axis.
+
+        The cell index is np.searchsorted(axis, v, side="right") - 1, clipped
+        to the cells.  A sorted query array at least _MERGE_RATIO times as
+        long as the axis gets it by one merge instead: node i is counted
+        from query pos[i] = searchsorted(v, axis[i]) on, so each cell index
+        repeats over the run of queries between two such positions, the same
+        indices bit for bit, and the range check reads the first and last
+        query.  Unsorted queries, NaN among them, keep the binary search.
+        """
         arr = np.asarray(v, dtype=float)
         lo, hi = axis[0], axis[-1]
         slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
-        if np.min(arr) < lo - slack or np.max(arr) > hi + slack:
+        flat = arr.ravel()
+        merge = flat.size >= _MERGE_RATIO * axis.size and bool(np.all(flat[1:] >= flat[:-1]))
+        first, last = (flat[0], flat[-1]) if merge else (np.min(arr), np.max(arr))
+        if first < lo - slack or last > hi + slack:
             raise ValueError(f"grid evaluation outside [{lo:g}, {hi:g}]")
-        idx = np.clip(np.searchsorted(axis, arr, side="right") - 1, 0, axis.size - 2)
-        frac = (arr - axis[idx]) / (axis[idx + 1] - axis[idx])
-        return idx, frac
+        if not merge:
+            idx = np.clip(np.searchsorted(axis, arr, side="right") - 1, 0, axis.size - 2)
+            return idx, (arr - axis[idx]) / (axis[idx + 1] - axis[idx])
+        runs = np.diff(np.searchsorted(flat, axis), prepend=0, append=flat.size)
+        cells = np.clip(np.arange(-1, axis.size), 0, axis.size - 2)
+        left = axis[cells]
+        idx = np.repeat(cells, runs)
+        frac = (flat - np.repeat(left, runs)) / np.repeat(axis[cells + 1] - left, runs)
+        return idx.reshape(arr.shape), frac.reshape(arr.shape)
 
     def eval(self, t, x):
         t = np.asarray(t, dtype=float)
@@ -281,6 +315,14 @@ class GridField(Field):
         d1 = v[p, j + 1] - v[q, j + 1]
         return d0 + w * (d1 - d0)
 
+    def _step_at(self, p, j, w):
+        """_rowdiff_at(p + 1, p, j, w), read from the table of row steps."""
+        steps = self._row_steps
+        f = p * self.xs.size + j
+        d0 = steps.take(f)
+        d1 = steps.take(f + 1)
+        return d0 + w * (d1 - d0)
+
     def increment_t(self, s, t, x):
         """W(t, x) - W(s, x) from nodal row differences.
 
@@ -288,19 +330,26 @@ class GridField(Field):
         the cell's row difference; where they do not, it is the row
         difference between their lower nodes plus the two partial-cell
         corrections.  The cell's row difference is formed once and the
-        cross-cell formula only on the pairs that cross a cell.  Increments
-        read the nodal values, not the rank expansion of separable_terms,
-        so its tolerance does not reach them.
+        cross-cell formula only on the pairs that cross a cell.  Consecutive
+        intervals, where s[1:] equals t[:-1] as in the sewing germ's
+        partitions, have each node located once.  Increments read the nodal
+        values, not the rank expansion of separable_terms, so its tolerance
+        does not reach them.
         """
         s, t, x = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         )
         shape = s.shape
         s, t, x = s.ravel(), t.ravel(), x.ravel()
-        it, u = self._locate(self.ts, t)
-        is_, v = self._locate(self.ts, s)
+        if np.array_equal(s[1:], t[:-1]):
+            # consecutive intervals, as in a partition: each node located once
+            i, f = self._locate(self.ts, np.concatenate((s, t[-1:])))
+            is_, v, it, u = i[:-1], f[:-1], i[1:], f[1:]
+        else:
+            it, u = self._locate(self.ts, t)
+            is_, v = self._locate(self.ts, s)
         j, w = self._locate(self.xs, x)
-        step = self._rowdiff_at(it + 1, it, j, w)
+        step = self._step_at(it, j, w)
         out = ((t - s) / (self.ts[it + 1] - self.ts[it])) * step
         c = np.flatnonzero(it != is_)
         if c.size:
@@ -308,7 +357,7 @@ class GridField(Field):
             out[c] = (
                 self._rowdiff_at(it, is_, j, w)
                 + u[c] * step[c]
-                - v[c] * self._rowdiff_at(is_ + 1, is_, j, w)
+                - v[c] * self._step_at(is_, j, w)
             )
         return out.reshape(shape) if shape else float(out[0])
 

@@ -405,6 +405,8 @@ _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=
         _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "nan,1"],
         _HOLDER_FIELD + ["--a", "0", "--b", "inf"],
         _HOLDER_FIELD + ["--a", "0", "--b", "1", "--box", "0,inf"],
+        ["integrate", "--field", "inf-grid.json", "--path", "identity", "--a", "0.6", "--b", "0.7",
+         "--tau", "1", "--lambda", "1", "--gamma", "1"],
     ] + [argv for argv, _ in _MISSING_COMPANION.values()],
     ids=[
         "young-f", "frac-f", "iterate-fields", "indefinite-field", "holder-path",
@@ -412,10 +414,15 @@ _HOLDER_FIELD = ["holder", "--field", "product:g=(weierstrass:H=0.6,scales=8),h=
         "iterate-unbalanced", "young-missing-csv", "frac-dleft-a-nan", "frac-iright-b-inf",
         "frac-ileft-f-infinite-at-a",
         "holder-field-a-nan", "holder-field-box-nan", "holder-field-b-inf", "holder-field-box-inf",
+        "integrate-grid-inf-node",
     ] + list(_MISSING_COMPANION),
 )
 def test_bad_input_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # where no-such-file.csv does not exist
+    # a grid whose last time node is infinite: JSON's Infinity reads as inf
+    (tmp_path / "inf-grid.json").write_text(
+        '{"ts": [0, 0.5, Infinity], "xs": [0, 1], "values": [[0, 1], [1, 2], [2, 3]]}'
+    )
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -106,6 +106,19 @@ def test_grid_field_validation():
         GridField([0.0, 1.0], [0.5], [[1.0], [2.0]])
 
 
+@pytest.mark.parametrize("ts, xs", [
+    ([0.0, 0.5, np.inf], [0.0, 1.0]),
+    ([-np.inf, 0.5, 1.0], [0.0, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, np.inf]),
+    ([0.0, 0.5, 1.0], [-np.inf, 1.0]),
+])
+def test_grid_field_rejects_non_finite_axes(ts, xs):
+    # an infinite end node made the range check's slack infinite, so any
+    # query passed it and increments past the last finite node read 0
+    with pytest.raises(ValueError, match="axes must be finite"):
+        GridField(ts, xs, np.ones((len(ts), len(xs))))
+
+
 def test_grid_field_matches_bilinear_data():
     grid = _sampled_grid(lambda t, x: t * x)
     # t*x is bilinear, so interpolation is exact
@@ -149,22 +162,33 @@ def test_grid_json_round_trip(tmp_path):
     assert np.array_equal(back.values, grid.values)
 
 
+def _oracle_locate(axis, q):
+    """Cell index by a binary search per query, and the fraction in the cell."""
+    q = np.asarray(q, dtype=float)
+    idx = np.clip(np.searchsorted(axis, q, side="right") - 1, 0, axis.size - 2)
+    return idx, (q - axis[idx]) / (axis[idx + 1] - axis[idx])
+
+
 def _where_increment_t(grid, s, t, x):
-    """GridField.increment_t with both formulas on every pair and np.where:
-    the reference the cross-cell-only evaluation must match bitwise."""
+    """W(t, x) - W(s, x) by both nodal formulas on every pair and np.where,
+    with its own cell search and row differences: the reference that
+    GridField.increment_t must match bitwise."""
     s, t, x = np.broadcast_arrays(
         np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     )
-    it, u = grid._locate(grid.ts, t)
-    is_, v = grid._locate(grid.ts, s)
-    j, w = grid._locate(grid.xs, x)
-    cross = (
-        grid._rowdiff_at(it, is_, j, w)
-        + u * grid._rowdiff_at(it + 1, it, j, w)
-        - v * grid._rowdiff_at(is_ + 1, is_, j, w)
-    )
+    it, u = _oracle_locate(grid.ts, t)
+    is_, v = _oracle_locate(grid.ts, s)
+    j, w = _oracle_locate(grid.xs, x)
+    values = grid.values
+
+    def rowdiff(p, q):  # row p minus row q, interpolated at x
+        d0 = values[p, j] - values[q, j]
+        d1 = values[p, j + 1] - values[q, j + 1]
+        return d0 + w * (d1 - d0)
+
+    cross = rowdiff(it, is_) + u * rowdiff(it + 1, it) - v * rowdiff(is_ + 1, is_)
     dt_cell = grid.ts[it + 1] - grid.ts[it]
-    local = ((t - s) / dt_cell) * grid._rowdiff_at(it + 1, it, j, w)
+    local = ((t - s) / dt_cell) * rowdiff(it + 1, it)
     out = np.where(it == is_, local, cross)
     return out if out.ndim else float(out)
 
@@ -187,8 +211,8 @@ def test_grid_increment_t_bitwise_equal_where_oracle():
     same = (lo + width * rng.rand(500), lo + width * rng.rand(500))
     other = (cell + rng.randint(1, ts.size - 1, 500)) % (ts.size - 1)
     crossing = (same[0], ts[other] + (ts[other + 1] - ts[other]) * rng.rand(500))
-    assert np.all(grid._locate(ts, same[0])[0] == grid._locate(ts, same[1])[0])
-    assert np.all(grid._locate(ts, crossing[0])[0] != grid._locate(ts, crossing[1])[0])
+    assert np.all(_oracle_locate(ts, same[0])[0] == _oracle_locate(ts, same[1])[0])
+    assert np.all(_oracle_locate(ts, crossing[0])[0] != _oracle_locate(ts, crossing[1])[0])
     mixed = (np.r_[same[0][:250], crossing[0][:250]], np.r_[same[1][:250], crossing[1][:250]])
     nodes = rng.choice(ts, 500)
     edges = [
@@ -210,6 +234,71 @@ def test_grid_increment_t_bitwise_equal_where_oracle():
     for args in [(s, t, 0.25), (s, t, rng.uniform(-1.0, 1.0, (7, 9))), (0.4, t, s - 0.5),
                  (s[:, :, None], t[:, :, None], rng.uniform(-1.0, 1.0, 3))]:
         _assert_bitwise(grid.increment_t(*args), _where_increment_t(grid, *args))
+
+
+def _assert_bitwise_or_nan(got, want):
+    """Equal bits, except that a NaN need only meet a NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    kept = want == want  # all but the NaNs
+    assert got[kept].tobytes() == want[kept].tobytes()
+
+
+def _sorted_queries(rng, axis, n):
+    """n sorted queries on axis: both ends, excursions within the range
+    check's slack, ties on nodes and repeats of one value."""
+    lo, hi = axis[0], axis[-1]
+    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    ends = np.array([lo, hi, lo - 0.5 * slack, hi + 0.5 * slack])
+    pool = np.r_[ends, axis, rng.uniform(lo, hi, n)]
+    # drawn with replacement from a pool about twice n long, so values repeat
+    return np.sort(np.r_[ends[:n], rng.choice(pool, max(0, n - ends.size))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    nodes=st.integers(2, 40),
+    uniform=st.booleans(),
+    merged=st.booleans(),
+    offset=st.integers(0, 3),
+    anomaly=st.sampled_from([None, "below", "above", "nan"]),
+)
+def test_grid_sorted_queries_match_binary_search(seed, nodes, uniform, merged, offset, anomaly):
+    # sorted queries at least _MERGE_RATIO times as many as the nodes are
+    # located by a merge, shorter ones by a binary search; both must give
+    # the oracle's cells, fractions and increments bit for bit
+    rng = np.random.RandomState(seed)
+    lo, width = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 2.0)
+    if uniform:
+        ts = np.linspace(lo, lo + width, nodes)
+    else:
+        ts = lo + width * np.r_[0.0, np.cumsum(rng.uniform(0.1, 1.9, nodes - 1))] / nodes
+    xs = np.linspace(-1.0, 1.0, 17)
+    grid = GridField(ts, xs, rng.randn(ts.size, xs.size))
+    n = fields._MERGE_RATIO * ts.size + offset if merged else fields._MERGE_RATIO * ts.size - 1 - offset
+    q = _sorted_queries(rng, ts, n + 1)
+    if anomaly == "below":
+        q[0] = ts[0] - 1e-6 * width
+    elif anomaly == "above":
+        q[-1] = ts[-1] + 1e-6 * width
+    elif anomaly == "nan":
+        q[rng.randint(q.size)] = np.nan
+    x = rng.uniform(-1.0, 1.0, n)
+    other = np.sort(rng.uniform(ts[0], ts[-1], n))
+    pairs = [(q[:-1], q[1:]), (q[1:], q[:-1]), (q[:-1], other), (other, q[1:])]
+    if anomaly in ("below", "above"):
+        with pytest.raises(ValueError, match="grid evaluation outside"):
+            grid._locate(ts, q)
+        for s, t in pairs[:2]:  # the pairs that hold every query
+            with pytest.raises(ValueError, match="grid evaluation outside"):
+                grid.increment_t(s, t, x)
+        return
+    for got, want in zip(grid._locate(ts, q), _oracle_locate(ts, q)):
+        _assert_bitwise_or_nan(got, want)
+    for s, t in pairs:
+        _assert_bitwise_or_nan(grid.increment_t(s, t, x), _where_increment_t(grid, s, t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +574,19 @@ def test_grid_data_medium_stays_block_sized(route, cap):
         "sewing": lambda: integrate_sewing(grid, phi, 0.0, 1.0, max_levels=16, tol=0.0),
     }
     assert _traced_peak(runs[route]) < cap
+
+
+def test_grid_sewing_sums_bitwise_equal_oracle_germ():
+    # levels up to 10 have fewer partition nodes than _MERGE_RATIO times the
+    # 257 time nodes and are located by binary search, levels 11 and 12 by merge
+    ts, xs, values, phi = _rank2_grid_and_path()
+    grid = GridField(ts, xs, values)
+    _, trace = integrate_sewing(grid, phi, 0.0, 1.0, max_levels=12, tol=0.0)
+    want = []
+    for k in range(13):
+        nodes = np.linspace(0.0, 1.0, 2**k + 1)
+        want.append(float(np.sum(_where_increment_t(grid, nodes[:-1], nodes[1:], phi(nodes[:-1])))))
+    assert np.array(trace.sums).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("inner", [1, 2, 3, 7])

@@ -863,3 +863,32 @@ def test_fractional_additivity_at_random_cuts_within_estimates(cut):
     right = integrate_fractional(w, phi, reg, cut, 1.0, cfg, with_bounds=False)
     gap = abs(full.value - left.value - right.value)
     assert gap <= full.error_estimate + left.error_estimate + right.error_estimate
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    nt=st.sampled_from([17, 33, 65]),
+    nx=st.sampled_from([9, 17]),
+    samples=st.sampled_from([129, 257]),
+    interval=st.sampled_from([(0.0, 1.0), (0.25, 1.5), (-1.0, 0.5)]),
+)
+def test_time_reversal_flips_the_sign_on_both_routes(seed, nt, nx, samples, interval):
+    # t -> a + b - t maps the grid rows and the path stamps onto [a, b] again
+    # (exactly, for these dyadic ends) and reverses the orientation, so the
+    # two integrals cancel within c02's cross-method factor of their estimates
+    rng = np.random.RandomState(seed)
+    a, b = interval
+    pts, ts = np.linspace(a, b, samples), np.linspace(a, b, nt)
+    vals = np.cumsum(rng.randn(samples)) / np.sqrt(samples)
+    margin = 0.1 * (np.ptp(vals) + 1.0)
+    xs = np.linspace(vals.min() - margin, vals.max() + margin, nx)
+    values = rng.randn(nt, nx)
+    w, phi = GridField(ts, xs, values), SampledPath(pts, vals)
+    w_rev, phi_rev = GridField(a + b - ts[::-1], xs, values[::-1]), SampledPath(a + b - pts[::-1], vals[::-1])
+    reg = Regularity(0.7, 1.0, 0.6)
+    fwd = integrate_fractional(w, phi, reg, a, b, with_bounds=False)
+    rev = integrate_fractional(w_rev, phi_rev, reg, a, b, with_bounds=False)
+    assert abs(fwd.value + rev.value) <= 5.0 * (fwd.error_estimate + rev.error_estimate)
+    (fwd, _), (rev, _) = integrate_sewing(w, phi, a, b), integrate_sewing(w_rev, phi_rev, a, b)
+    assert abs(fwd.value + rev.value) <= 5.0 * (fwd.error_estimate + rev.error_estimate)

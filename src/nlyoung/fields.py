@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -185,12 +185,15 @@ class SumField(Field):
 
 
 class _Negated:
-    """x -> -h(x), keeping h's cancellation-safe diff when it has one."""
+    """x -> -h(x), keeping h's cancellation-safe diff and its domain when it
+    has them."""
 
     def __init__(self, h: PathLike) -> None:
         self.h = h
         if hasattr(h, "diff"):
             self.diff = lambda t, s: -h.diff(t, s)
+        if hasattr(h, "domain"):
+            self.domain = h.domain
 
     def __call__(self, x):
         return -self.h(x)
@@ -470,18 +473,47 @@ _N_FINE = 384
 _MAX_LAG = 16
 
 
+@cache
+def _pair_indices():
+    """Indices into _axis_nodes of each probe pair's two ends: all pairs of
+    the coarse nodes, then the fine nodes' small lags from every fourth node."""
+    i, j = np.triu_indices(_N_COARSE + 1, k=1)
+    s, t = [i], [j]
+    for lag in range(1, _MAX_LAG + 1):
+        idx = np.arange(0, _N_FINE + 1 - lag, 4) + _N_COARSE + 1
+        s.append(idx)
+        t.append(idx + lag)
+    s, t = np.concatenate(s), np.concatenate(t)
+    s.flags.writeable = t.flags.writeable = False
+    return s, t
+
+
+def _axis_nodes(lo: float, hi: float) -> np.ndarray:
+    """The probe nodes on [lo, hi]: the coarse grid, then the fine one."""
+    return np.concatenate([np.linspace(lo, hi, _N_COARSE + 1), np.linspace(lo, hi, _N_FINE + 1)])
+
+
 def _axis_pairs(lo: float, hi: float):
     """Deterministic probe pairs on [lo, hi]: all coarse pairs + fine small lags."""
-    coarse = np.linspace(lo, hi, _N_COARSE + 1)
-    i, j = np.triu_indices(coarse.size, k=1)
-    s = [coarse[i]]
-    t = [coarse[j]]
-    fine = np.linspace(lo, hi, _N_FINE + 1)
-    for lag in range(1, _MAX_LAG + 1):
-        idx = np.arange(0, fine.size - lag, 4)
-        s.append(fine[idx])
-        t.append(fine[idx + lag])
-    return np.concatenate(s), np.concatenate(t)
+    nodes = _axis_nodes(lo, hi)
+    first, second = _pair_indices()
+    return nodes[first], nodes[second]
+
+
+def _probe_term(f, nodes: np.ndarray, scale: np.ndarray):
+    """f at the coarse nodes, and f's pair increments divided by scale.
+
+    f is called once on the nodes and its increments gathered from those
+    values; a term with its own `diff` (a SampledPath) is differenced on the
+    pairs by it instead, which keeps its cancellation, and called on the
+    coarse nodes alone.
+    """
+    first, second = _pair_indices()
+    coarse = nodes[: _N_COARSE + 1]
+    if hasattr(f, "diff"):
+        return np.broadcast_to(f(coarse), coarse.shape), f.diff(nodes[second], nodes[first]) / scale
+    values = np.broadcast_to(f(nodes), nodes.shape)
+    return values[: _N_COARSE + 1], (values[second] - values[first]) / scale
 
 
 def _max_abs_product(left: np.ndarray, right: np.ndarray) -> float:
@@ -514,9 +546,13 @@ def holder_seminorm_field(
     pairs and dH[k, q] = (h_k(y_q) - h_k(x_q)) / (y_q - x_q)^lam over the
     space pairs, the rectangle term is max |dG @ dH|, the time term
     max |dG @ H| and the space term max |G @ dH|, where G and H hold the
-    terms at the time and space probes.  Increments go through path_diff, so
-    sampled terms keep their cancellation.  Like the path seminorm these are
-    sups over a finite deterministic probe family, hence lower bounds.
+    terms at the time and space probes.  Each axis has 41 coarse and 385
+    fine probe nodes, and its pairs are fixed pairs of them; a term is
+    called once on the nodes and its pair increments are gathered from those
+    values, except a term with its own `diff` (a SampledPath, such as a
+    grid's terms), which is differenced on the pairs so that it keeps its
+    cancellation.  Like the path seminorm these are sups over a finite
+    deterministic probe family, hence lower bounds.
     """
     _require_interval(a, b)
     _require_interval(box[0], box[1], ("box lo", "box hi"))
@@ -526,27 +562,21 @@ def holder_seminorm_field(
             f"medium {w.descriptor!r} has no separable expansion; "
             "sample it into a GridField to estimate its seminorm"
         )
-    ts_s, ts_t = _axis_pairs(a, b)
-    xs_s, xs_t = _axis_pairs(box[0], box[1])
-    t_probe = np.linspace(a, b, _N_COARSE + 1)
-    x_probe = np.linspace(box[0], box[1], _N_COARSE + 1)
-
-    dt_pow = (ts_t - ts_s) ** reg.tau
-    dx_pow = (xs_t - xs_s) ** reg.lam
-    d_g = np.column_stack([path_diff(g, ts_t, ts_s) / dt_pow for g, _ in terms])
-    g_probe = np.column_stack([np.broadcast_to(g(t_probe), t_probe.shape) for g, _ in terms])
-    d_h = np.vstack([path_diff(h, xs_t, xs_s) / dx_pow for _, h in terms])
-    h_probe = np.vstack([np.broadcast_to(h(x_probe), x_probe.shape) for _, h in terms])
+    t_nodes, x_nodes = _axis_nodes(a, b), _axis_nodes(box[0], box[1])
+    first, second = _pair_indices()
+    dt_pow = (t_nodes[second] - t_nodes[first]) ** reg.tau
+    dx_pow = (x_nodes[second] - x_nodes[first]) ** reg.lam
+    g_probe, d_g = zip(*(_probe_term(g, t_nodes, dt_pow) for g, _ in terms))
+    h_probe, d_h = zip(*(_probe_term(h, x_nodes, dx_pow) for _, h in terms))
+    g_probe, d_g = np.column_stack(g_probe), np.column_stack(d_g)
+    h_probe, d_h = np.vstack(h_probe), np.vstack(d_h)
 
     rect_term = _max_abs_product(d_g, d_h)
     time_term = _max_abs_product(d_g, h_probe)
     space_term = _max_abs_product(g_probe, d_h)
 
-    n_pairs = int(
-        ts_s.size * xs_s.size
-        + ts_s.size * x_probe.size
-        + xs_s.size * t_probe.size
-    )
+    # the rectangle's pairs of pairs, then each axis's pairs against the other's probes
+    n_pairs = int(first.size * (first.size + 2 * (_N_COARSE + 1)))
     return FieldHolderReport(rect_term, time_term, space_term, n_pairs)
 
 

@@ -137,6 +137,20 @@ def _phi_box(phi, a: float, b: float, n: int = 1024) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _seminorm_box(w: Field, box: tuple[float, float]) -> tuple[float, float]:
+    """box cut to the x domain of every separable term that has one.
+
+    A grid's terms are defined on its x axis only; the integral reads them
+    at phi's values, so the padding of _phi_box may reach past an axis that
+    covers phi with a small margin, and the field seminorm must not.
+    """
+    lo, hi = box
+    for _, h in w.separable_terms() or ():
+        if hasattr(h, "domain"):
+            lo, hi = max(lo, h.domain[0]), min(hi, h.domain[1])
+    return lo, hi
+
+
 def _as_sampled(phi, a: float, b: float, n: int = 1024) -> SampledPath:
     if isinstance(phi, SampledPath):
         return phi
@@ -145,7 +159,7 @@ def _as_sampled(phi, a: float, b: float, n: int = 1024) -> SampledPath:
 
 def estimate_norms(w: Field, phi, reg: Regularity, a: float, b: float) -> NormEstimates:
     """Probe-grid seminorm estimates of the medium and the path on [a, b]."""
-    box = _phi_box(phi, a, b)
+    box = _seminorm_box(w, _phi_box(phi, a, b))
     fr = holder_seminorm_field(w, reg, a, b, box)
     pr = holder_seminorm_path(_as_sampled(phi, a, b), reg.gamma, a, b)
     return NormEstimates(fr, pr, box)
@@ -319,7 +333,8 @@ def integrate_sewing(
     params["stop_reason"] says which.  max_levels must be at least 2, so
     that there are two differences to extrapolate from.  The reported value is the Richardson
     extrapolation of the last three sums at the observed order, falling back
-    to the finest sum when the order estimate is unstable.
+    to the finest sum when the order estimate is unstable.  A value or error
+    estimate that is not finite is reported with converged=False.
 
     Media with a single separable term W = g(t) h(x) whose g has no `diff`
     (so g increments are plain differences) reuse the nodes of the coarser
@@ -362,7 +377,8 @@ def integrate_sewing(
             err = abs(corr)
 
     scale = max(1.0, abs(value))
-    converged = True
+    # a non-finite value or estimate (h(phi) infinite somewhere, say) met no tolerance
+    converged = math.isfinite(value) and math.isfinite(err)
     if diffs.size >= 3:
         tail = diffs[-3:]
         if tail[-1] >= tail[-2] >= tail[-3] and tail[-1] > 1e-13 * scale:
@@ -586,7 +602,7 @@ def stability_in_medium(
     lhs = abs(r1.value - r2.value)
     diff = DifferenceField(w1, w2)
     term1 = abs(float(diff.increment_t(a, b, phi(a))))
-    box = _phi_box(phi, a, b)
+    box = _seminorm_box(diff, _phi_box(phi, a, b))
     bracket = holder_seminorm_field(diff, reg, a, b, box).bracket
     pn = holder_seminorm_path(_as_sampled(phi, a, b), reg.gamma, a, b).seminorm
     term2 = bracket * pn**reg.lam * (b - a) ** (reg.tau + reg.lam * reg.gamma)
@@ -620,8 +636,8 @@ def stability_in_path(
     ts = np.linspace(u, v, 2049)
     supdiff = float(np.max(np.abs(np.asarray(phi1(ts)) - np.asarray(phi2(ts)))))
     box1, box2 = _phi_box(phi1, u, v), _phi_box(phi2, u, v)
-    lo, hi = min(box1[0], box2[0]), max(box1[1], box2[1])
-    bracket = holder_seminorm_field(w, reg, u, v, (lo, hi)).bracket
+    box = _seminorm_box(w, (min(box1[0], box2[0]), max(box1[1], box2[1])))
+    bracket = holder_seminorm_field(w, reg, u, v, box).bracket
     n1 = holder_seminorm_path(_as_sampled(phi1, u, v), reg.gamma, u, v).seminorm
     n2 = holder_seminorm_path(_as_sampled(phi2, u, v), reg.gamma, u, v).seminorm
     term1 = bracket * supdiff**reg.lam * (v - u) ** reg.tau

@@ -155,8 +155,8 @@ class WeierstrassFunction:
     ) -> None:
         if not 0.0 < H < 1.0:
             raise ValueError("H must lie in (0, 1)")
-        if base < 2.0:
-            raise ValueError("base must be >= 2")
+        if not 2.0 <= base < math.inf:
+            raise ValueError("base must be finite and >= 2")
         if scales < 1:
             raise ValueError("scales must be >= 1")
         self.H = float(H)
@@ -167,6 +167,8 @@ class WeierstrassFunction:
         if len(phases) != scales:
             raise ValueError("need one phase per scale")
         self.phases = tuple(float(p) for p in phases)
+        if not all(map(math.isfinite, self.phases)):
+            raise ValueError("phases must be finite")
         self._amps = self.base ** (-self.H * np.arange(self.scales))
         self._freqs = self.base ** np.arange(self.scales)
 
@@ -331,9 +333,13 @@ def holder_seminorm_path(
     that lag bound its ratios from above and from below, and the largest
     lower bound is a floor under the sup.  The exact ratio |dv| / dt**exponent
     is then computed, for all pairs of a lag, only on the lags whose upper
-    bound reaches that floor.  The result is the same sup, pair and pair count
-    as probing every pair: the first pair in (lag, index) order that attains
-    the sup is reported.
+    bound reaches that floor.  The first pass reads the values only: the
+    spans of lag l lie between the sums of the l smallest and the l largest
+    gaps, and the exact smallest and largest dt are read only on the lags
+    that these bounds, against the exact ratio of one lag, cannot rule out;
+    on uniform stamps those are about the live lags alone.  The result is
+    the same sup, pair and pair count as probing every pair: the first pair
+    in (lag, index) order that attains the sup is reported.
     """
     if not 0.0 < exponent <= 1.0:
         raise ValueError("exponent must lie in (0, 1]")
@@ -350,23 +356,51 @@ def holder_seminorm_path(
     )
     buf_t, buf_v = np.empty(max(_BLOCK_ENTRIES, n)), np.empty(max(_BLOCK_ENTRIES, n))
 
-    # pass 1: per lag, the largest |dv| and the smallest and largest dt
-    top, dt_min, dt_max = np.empty(lags.size), np.empty(lags.size), np.empty(lags.size)
+    # A lag-l span is a sum of l gaps, so it lies between the sums of the l
+    # smallest and the l largest gaps.  The lower sum may drift about l ulps
+    # above the span's own rounding, which the margin of (l + 2) eps covers;
+    # the upper one only ranks the lags, so it needs none.
+    gaps = np.sort(np.diff(ts))
+    widen = (lags + 2) * np.finfo(float).eps
+    lo_pow = (np.cumsum(gaps)[lags - 1] * (1.0 - widen)) ** exponent
+    hi_pow = np.cumsum(gaps[::-1])[lags - 1] ** exponent
+
+    # pass 1: per lag, the largest |dv| (top), from the values alone
+    top = np.empty(lags.size)
     for blk in blocks:
         dv = _lag_differences(win_v, vals, lags[blk], buf_v)
-        dt = _lag_differences(win_t, ts, lags[blk], buf_t)
         np.fmax.reduce(np.abs(dv, out=dv), axis=1, out=top[blk])
-        np.fmin.reduce(dt, axis=1, out=dt_min[blk])
-        np.fmax.reduce(dt, axis=1, out=dt_max[blk])
-    # The pair of a lag's largest |dv| has a ratio of at least top / dt_max^exponent,
-    # so the sup is at least the largest of these, and no ratio of a lag exceeds
-    # top / dt_min^exponent.
-    floor = float(np.max(top / dt_max**exponent)) * (1.0 - _BOUND_SLACK)
+    # The pair of a lag's largest |dv| has a ratio of at least
+    # top / dt_max^exponent, so the sup is at least the largest of these (the
+    # floor), and no ratio of a lag exceeds top / dt_min^exponent.  `loose` is
+    # that ratio, exact, for the lag with the largest top / hi_pow, so it is at
+    # least every lag's top / hi_pow and at most the floor.  A lag whose
+    # top / lo_pow falls below it can set neither the floor nor a live lag,
+    # so the exact dt_min and dt_max are read on the other lags (`cand`) only.
+    # Twice the slack leaves room for the floor's own and for rounding.
+    k = int(np.argmax(top / hi_pow))
+    dt = _lag_differences(win_t, ts, lags[k : k + 1], buf_t)
+    loose = float(top[k] / np.fmax.reduce(dt, axis=1)[0] ** exponent)
+    cand = np.flatnonzero(top >= loose * (1.0 - 2.0 * _BOUND_SLACK) * lo_pow)
+    dt_min, dt_max = np.empty(lags.size), np.empty(lags.size)
+    for rows in np.split(cand, np.searchsorted(cand, [blk.stop for blk in blocks[:-1]])):
+        if rows.size == 0:
+            continue
+        if rows[-1] + 1 - rows[0] <= 2 * rows.size:
+            # a run of consecutive lags is read as one slice, at about half
+            # the cost per row of a gather
+            rows = slice(rows[0], rows[-1] + 1)
+        dt = _lag_differences(win_t, ts, lags[rows], buf_t)
+        dt_min[rows] = np.fmin.reduce(dt, axis=1)
+        dt_max[rows] = np.fmax.reduce(dt, axis=1)
+    floor = float(np.max(top[cand] / dt_max[cand] ** exponent)) * (1.0 - _BOUND_SLACK)
+    live_lag = np.zeros(lags.size, dtype=bool)
+    live_lag[cand] = top[cand] >= floor * dt_min[cand] ** exponent
 
     # pass 2: the exact ratios, whole rows, of the lags whose bound reaches the floor
     best, best_pair = -1.0, (float(ts[0]), float(ts[-1]))
     for blk in blocks:
-        live = lags[blk][top[blk] >= floor * dt_min[blk] ** exponent]
+        live = lags[blk][live_lag[blk]]
         if live.size == 0:
             continue
         dv = _lag_differences(win_v, vals, live, buf_v)
@@ -438,6 +472,9 @@ def make_function(desc: str) -> PathLike:
     monomial:p=..., sin[:freq=,phase=], cos[:freq=,phase=], sqrt,
     weierstrass:H=...,scales=...[,base=...][,phases=p0|p1|...].
 
+    Every numeric parameter must be finite, and p, H and scales must be
+    given; a NaN or infinite parameter or a missing one raises ValueError.
+
     Each result has a `finest_frequency`: the cells per unit length that a
     uniform grid needs to resolve it.  It is 2 |freq| for sin and cos, as
     base**scales is for a base-2 Weierstrass series (base times its highest
@@ -445,25 +482,37 @@ def make_function(desc: str) -> PathLike:
     SampledPath's is one over its smallest spacing.
     """
     name, args = parse_descriptor(desc)
+
+    def arg(key: str, default: str | None = None) -> str:
+        if key not in args and default is None:
+            raise ValueError(f"descriptor {desc!r} needs {key}=...")
+        return args.get(key, default)
+
+    def num(key: str, default: str | None = None) -> float:
+        value = float(arg(key, default))
+        if not math.isfinite(value):
+            raise ValueError(f"{key}={value} in {desc!r} must be finite")
+        return value
+
     if name == "identity":
         return _tag(lambda t: np.asarray(t, dtype=float) + 0.0, "identity")
     if name == "const":
-        c = float(args.get("c", "1"))
+        c = num("c", "1")
         return _tag(lambda t: np.full_like(np.asarray(t, dtype=float), c), desc)
     if name == "linear":
-        m = float(args.get("slope", "1"))
-        c = float(args.get("intercept", "0"))
+        m = num("slope", "1")
+        c = num("intercept", "0")
         return _tag(lambda t: m * np.asarray(t, dtype=float) + c, desc)
     if name == "monomial":
-        p = float(args["p"])
+        p = num("p")
         return _tag(lambda t: np.asarray(t, dtype=float) ** p, desc)
     if name == "sin":
-        w = float(args.get("freq", "1"))
-        ph = float(args.get("phase", "0"))
+        w = num("freq", "1")
+        ph = num("phase", "0")
         return _tag(lambda t: np.sin(w * np.asarray(t, dtype=float) + ph), desc, 2.0 * abs(w))
     if name == "cos":
-        w = float(args.get("freq", "1"))
-        ph = float(args.get("phase", "0"))
+        w = num("freq", "1")
+        ph = num("phase", "0")
         return _tag(lambda t: np.cos(w * np.asarray(t, dtype=float) + ph), desc, 2.0 * abs(w))
     if name == "sqrt":
         return _tag(lambda t: np.sqrt(np.asarray(t, dtype=float)), "sqrt")
@@ -471,12 +520,7 @@ def make_function(desc: str) -> PathLike:
         phases = None
         if "phases" in args:
             phases = [float(x) for x in args["phases"].split("|")]
-        return make_weierstrass(
-            H=float(args["H"]),
-            scales=int(args["scales"]),
-            base=float(args.get("base", "2")),
-            phases=phases,
-        )
+        return make_weierstrass(H=num("H"), scales=int(arg("scales")), base=num("base", "2"), phases=phases)
     raise ValueError(f"unknown function descriptor {desc!r}")
 
 

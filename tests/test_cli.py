@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlyoung.cli import main
 from nlyoung.experiments import ExperimentSpec, RunReport, SpecValidationError, parse_quad_fragment
+from nlyoung.fields import GridField, write_grid_json
+from nlyoung.paths import make_weierstrass, sample_function, write_path_csv
 
 
 def run_cli(args, capsys):
@@ -458,3 +466,69 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-7)
+
+
+def _write_grid_inputs(folder: Path, margin: float) -> tuple[str, str]:
+    """A two-mode grid JSON whose x axis covers the path's values with the
+    given margin on each side (a share of their span), and the path CSV."""
+    phi = sample_function(make_weierstrass(0.6, 10), 0.0, 1.0, 1024)
+    lo, hi = phi.values.min(), phi.values.max()
+    ts = np.linspace(0.0, 1.0, 65)
+    xs = np.linspace(lo - margin * (hi - lo), hi + margin * (hi - lo), 33)
+    a_t, b_t = make_weierstrass(0.7, 6)(ts), np.cos(3.0 * ts)
+    values = a_t[:, None] * xs + b_t[:, None] * np.sin(1.3 * xs + 0.4)
+    write_grid_json(folder / "grid.json", GridField(ts, xs, values))
+    write_path_csv(folder / "path.csv", phi)
+    return str(folder / "grid.json"), str(folder / "path.csv")
+
+
+_GRID_RUN = ["integrate", "--tau", "0.7", "--lambda", "1", "--gamma", "0.6", "--quad", "tol=1e-3",
+             "--no-timestamp"]
+
+
+@pytest.mark.parametrize("method", ["fractional", "both"])
+def test_grid_covering_the_path_by_a_thin_margin(method, tmp_path, capsys):
+    grid, path = _write_grid_inputs(tmp_path, 0.02)
+    argv = _GRID_RUN + ["--method", method, "--field", grid, "--path", path, "--a", "0", "--b", "1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["reports"]["fractional"]["bound_ratios"]["holder"] > 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    slot=st.sampled_from(["a", "b", "field-descriptor", "path-descriptor", "path-sample", "grid-value"]),
+    bad=st.sampled_from(["nan", "inf", "-inf"]),
+    row=st.integers(0, 32),
+)
+def test_non_finite_input_exits_2(slot, bad, row):
+    """One non-finite number anywhere in the input of integrate --method both
+    exits 2 before any report is printed, so none can carry a NaN that says
+    converged."""
+    with tempfile.TemporaryDirectory() as folder:
+        field, path = _write_grid_inputs(Path(folder), 0.1)
+        a, b = "0", "1"
+        if slot == "a":
+            a = bad
+        elif slot == "b":
+            b = bad
+        elif slot == "field-descriptor":
+            field = f"product:g=(sin:freq={bad}),h=(identity)"
+        elif slot == "path-descriptor":
+            path = f"weierstrass:H=0.7,scales=6,phases=0|1|{bad}|0|0|0"
+        elif slot == "path-sample":
+            lines = Path(path).read_text().splitlines()
+            lines[1 + row] = lines[1 + row].split(",")[0] + f",{bad}"
+            Path(path).write_text("\n".join(lines) + "\n")
+        else:  # one nodal value; JSON writes NaN and Infinity
+            doc = json.loads(Path(field).read_text())
+            doc["values"][row][row % 33] = float(bad)
+            Path(field).write_text(json.dumps(doc))
+        # "--a=-inf": argparse reads a lone "-inf" as a flag
+        argv = _GRID_RUN + ["--method", "both", "--field", field, "--path", path, f"--a={a}", f"--b={b}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")

@@ -20,7 +20,7 @@ from nlyoung.fields import (
 )
 from nlyoung.iterated import DiagonalField
 from nlyoung.nonlinear import integrate_fractional, integrate_sewing
-from nlyoung.paths import SampledPath, make_function, make_weierstrass, sample_function
+from nlyoung.paths import SampledPath, make_function, make_weierstrass, path_diff, sample_function
 
 ident = make_function("identity")
 one = make_function("const:c=1")
@@ -532,6 +532,56 @@ def test_field_seminorm_matches_increment_oracle(name):
     assert rep.time_term == pytest.approx(time, rel=1e-13)
     assert rep.space_term == pytest.approx(space, rel=1e-13)
     assert rep.n_pairs_checked == n_pairs
+
+
+def _pairwise_seminorm_terms(w, reg, a, b, box):
+    """The three seminorm terms and the pair count with every term evaluated
+    at both ends of every probe pair, as holder_seminorm_field once did: the
+    reference that its evaluation on the probe nodes must equal bit for bit."""
+
+    def axis_pairs(lo, hi):
+        coarse = np.linspace(lo, hi, 41)
+        i, j = np.triu_indices(coarse.size, k=1)
+        s, t = [coarse[i]], [coarse[j]]
+        fine = np.linspace(lo, hi, 385)
+        for lag in range(1, 17):
+            idx = np.arange(0, fine.size - lag, 4)
+            s.append(fine[idx])
+            t.append(fine[idx + lag])
+        return np.concatenate(s), np.concatenate(t)
+
+    terms = w.separable_terms()
+    ts_s, ts_t = axis_pairs(a, b)
+    xs_s, xs_t = axis_pairs(box[0], box[1])
+    t_probe = np.linspace(a, b, 41)
+    x_probe = np.linspace(box[0], box[1], 41)
+    dt_pow = (ts_t - ts_s) ** reg.tau
+    dx_pow = (xs_t - xs_s) ** reg.lam
+    d_g = np.column_stack([path_diff(g, ts_t, ts_s) / dt_pow for g, _ in terms])
+    g_probe = np.column_stack([np.broadcast_to(g(t_probe), t_probe.shape) for g, _ in terms])
+    d_h = np.vstack([path_diff(h, xs_t, xs_s) / dx_pow for _, h in terms])
+    h_probe = np.vstack([np.broadcast_to(h(x_probe), x_probe.shape) for _, h in terms])
+    n_pairs = ts_s.size * xs_s.size + ts_s.size * x_probe.size + xs_s.size * t_probe.size
+    product = fields._max_abs_product
+    return product(d_g, d_h), product(d_g, h_probe), product(g_probe, d_h), n_pairs
+
+
+_SERIES = ProductField(make_weierstrass(0.6, 12, base=2.5), make_weierstrass(0.7, 9, phases=[0.3] * 9))
+_NODE_MEDIA = {
+    **_MEDIA,
+    "sin-product": ProductField(make_function("sin:freq=7,phase=0.2"), make_function("cos:freq=3")),
+    # the second part's h is negated through fields._Negated
+    "series-difference": DifferenceField(_SERIES, ProductField(make_weierstrass(0.8, 10), make_function("sin:freq=2"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_MEDIA))
+def test_field_seminorm_node_evaluation_equals_pairwise(name):
+    w = _NODE_MEDIA[name]
+    reg = Regularity(0.6, 0.8, 0.7)
+    rep = holder_seminorm_field(w, reg, 0.0, 1.0, (-1.0, 1.0))
+    got = (rep.rect_term, rep.time_term, rep.space_term, rep.n_pairs_checked)
+    assert got == _pairwise_seminorm_terms(w, reg, 0.0, 1.0, (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("name", ["product", "grid-257x65"])

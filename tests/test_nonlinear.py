@@ -416,6 +416,47 @@ def test_non_finite_endpoints_rejected(a, b):
         integrate_fractional(w, ident, SMOOTH, a, b, with_bounds=False)
 
 
+def test_sewing_non_finite_value_is_not_converged():
+    # h(phi(0)) = 0**-0.5 is infinite, so every sum is inf and the estimate NaN
+    w = ProductField(ident, make_function("monomial:p=-0.5"))
+    rep, _ = integrate_sewing(w, ident, 0.0, 1.0, max_levels=8)
+    assert not math.isfinite(rep.value)
+    assert rep.converged is False
+
+
+def _margin_grid(margin):
+    """A two-mode grid whose x axis covers the path's values with the given
+    margin on each side, as a share of their span, and the path."""
+    phi = sample_function(make_weierstrass(0.6, 10), 0.0, 1.0, 1024)
+    lo, hi = phi.values.min(), phi.values.max()
+    ts = np.linspace(0.0, 1.0, 65)
+    xs = np.linspace(lo - margin * (hi - lo), hi + margin * (hi - lo), 33)
+    a_t, b_t = make_weierstrass(0.7, 6)(ts), np.cos(3.0 * ts)
+    values = a_t[:, None] * xs + b_t[:, None] * np.sin(1.3 * xs + 0.4)
+    return GridField(ts, xs, values), phi
+
+
+def test_seminorm_box_clipped_to_a_thin_grid_axis():
+    grid, phi = _margin_grid(0.02)
+    reg = Regularity(0.7, 1.0, 0.6)
+    cfg = QuadratureConfig(tol=1e-3)
+    rep = integrate_fractional(grid, phi, reg, 0.0, 1.0, cfg)
+    assert rep.bound_ratios["holder"] > 0.0
+    norms = estimate_norms(grid, phi, reg, 0.0, 1.0)
+    assert norms.box == (grid.xs[0], grid.xs[-1])
+    other = GridField(grid.ts, grid.xs, 0.5 * grid.values)
+    assert stability_in_medium(grid, other, phi, reg, 0.0, 1.0, cfg).term2 > 0.0
+    phi2 = SampledPath(phi.ts, 0.99 * phi.values + 0.01 * phi.values.mean())
+    assert stability_in_path(grid, phi, phi2, reg, 0.8, 0.0, 1.0, cfg).term2 > 0.0
+
+
+def test_seminorm_box_kept_inside_a_wide_grid_axis():
+    grid, phi = _margin_grid(0.1)
+    box = nonlinear._phi_box(phi, 0.0, 1.0)
+    assert nonlinear._seminorm_box(grid, box) == box
+    assert estimate_norms(grid, phi, Regularity(0.7, 1.0, 0.6), 0.0, 1.0).box == box
+
+
 def test_cross_method_agreement(rough_case):
     w, phi, reg, cfg = rough_case
     rf = integrate_fractional(w, phi, reg, 0.0, 1.0, cfg, with_bounds=False)

@@ -114,11 +114,13 @@ def _holder_seminorm_oracle(p, exponent, a, b):
     return HolderReport(best, exponent, best_pair, n_pairs)
 
 
-def _probe_path(kind, n, uniform, seed):
+def _probe_path(kind, n, stamps, seed):
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, n)
-    if not uniform:
-        ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
+    if stamps != "uniform":
+        # "random": gaps within a factor 40; "wide": gaps from 1e-6 to 1
+        gaps = rng.uniform(0.05, 2.0, n - 1) if stamps == "random" else 10.0 ** rng.uniform(-6.0, 0.0, n - 1)
+        ts = np.concatenate([[0.0], np.cumsum(gaps)])
         ts /= ts[-1]
     if kind == "walk":
         vals = np.cumsum(rng.standard_normal(n))
@@ -137,23 +139,29 @@ def _probe_path(kind, n, uniform, seed):
 
 
 # The first three examples are the inputs where pairs tie, so every lag stays
-# in play; the last two probe more than 2048 samples in a window and in all.
+# in play; the next two probe more than 2048 samples in a window and in all.
+# The last three are where the gap-sum bounds on the spans are loosest: a
+# window cut just past a sample (its last gap 1e-9), gaps spanning 1e-6 to 1
+# at a small exponent, and 20,001 samples on the lag schedule.
 @settings(derandomize=True, deadline=None, max_examples=40)
-@example(kind="const", n=1025, uniform=True, exponent=0.5, window=None, seed=0)
-@example(kind="linear", n=1025, uniform=True, exponent=1.0, window=None, seed=0)
-@example(kind="sqrt", n=1025, uniform=True, exponent=0.5, window=None, seed=0)
-@example(kind="walk", n=3001, uniform=False, exponent=0.4, window=(0.1, 0.9), seed=1)
-@example(kind="weierstrass", n=2049, uniform=True, exponent=0.7, window=None, seed=2)
+@example(kind="const", n=1025, stamps="uniform", exponent=0.5, window=None, seed=0)
+@example(kind="linear", n=1025, stamps="uniform", exponent=1.0, window=None, seed=0)
+@example(kind="sqrt", n=1025, stamps="uniform", exponent=0.5, window=None, seed=0)
+@example(kind="walk", n=3001, stamps="random", exponent=0.4, window=(0.1, 0.9), seed=1)
+@example(kind="weierstrass", n=2049, stamps="uniform", exponent=0.7, window=None, seed=2)
+@example(kind="weierstrass", n=1025, stamps="uniform", exponent=0.6, window=(0.1, 0.75 + 1e-9), seed=3)
+@example(kind="walk", n=2048, stamps="wide", exponent=0.05, window=None, seed=4)
+@example(kind="weierstrass", n=20_001, stamps="uniform", exponent=0.7, window=None, seed=5)
 @given(
     kind=st.sampled_from(["walk", "weierstrass", "steps", "const", "linear", "sqrt"]),
     n=st.one_of(st.integers(2, 400), st.sampled_from([1025, 2048, 2049, 3001])),
-    uniform=st.booleans(),
+    stamps=st.sampled_from(["uniform", "random", "wide"]),
     exponent=st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.5, 1.0])),
     window=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.4), st.floats(0.6, 0.95))),
     seed=st.integers(0, 2**16),
 )
-def test_holder_seminorm_equals_all_pairs_oracle(kind, n, uniform, exponent, window, seed):
-    p = _probe_path(kind, n, uniform, seed)
+def test_holder_seminorm_equals_all_pairs_oracle(kind, n, stamps, exponent, window, seed):
+    p = _probe_path(kind, n, stamps, seed)
     a, b = window or (0.0, 1.0)
     got = holder_seminorm_path(p, exponent, a, b)
     want = _holder_seminorm_oracle(p, exponent, a, b)
@@ -299,6 +307,21 @@ def test_descriptor_functions():
     assert w.descriptor == "weierstrass:H=0.7,scales=12,base=2"
     with pytest.raises(ValueError):
         make_function("spline:k=3")
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "sin:freq=nan", "sin:phase=inf", "cos:freq=-inf", "cos:phase=nan", "const:c=inf",
+        "const:c=nan", "linear:slope=nan", "linear:intercept=-inf", "monomial:p=nan",
+        "monomial:p=inf", "weierstrass:H=nan,scales=3", "weierstrass:H=0.6,scales=3,base=inf",
+        "weierstrass:H=0.6,scales=3,base=nan", "weierstrass:H=0.6,scales=3,phases=0|nan|1",
+        "weierstrass:H=0.6,scales=2,phases=inf|0", "monomial", "weierstrass:H=0.6", "weierstrass:scales=3",
+    ],
+)
+def test_descriptor_rejects_non_finite_or_missing_parameters(desc):
+    with pytest.raises(ValueError, match="finite|must lie|needs"):
+        make_function(desc)
 
 
 def test_csv_round_trip(tmp_path):

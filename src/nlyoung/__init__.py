@@ -63,6 +63,6 @@ from .paths import (
     write_path_csv,
 )
 from .quadrature import QuadratureConfig
-from .young import YoungResult, young_gamma_independence, young_integral
+from .young import YoungResult, young_integral
 
 __version__ = "0.1.0"

@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiments as xp
 from .fields import Regularity, holder_seminorm_field, make_field
 from .fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
 from .iterated import JointField, growth_check, iterated_integral
-from .nonlinear import indefinite_integral, stability_in_medium, stability_in_path
+from .nonlinear import indefinite_integral
 from .paths import _split_top_level, holder_seminorm_path, make_function, write_path_csv
 from .quadrature import QuadratureConfig
 from .young import young_integral
@@ -99,27 +100,19 @@ def cmd_bounds(args) -> int:
             negative_beta=args.beta_target,
         )
     elif args.check == "holder":
-        report = xp.run(spec)
-        rows = [
-            {
-                "j": 0,
-                "interval": args.b - args.a,
-                "lhs": report.reports["fractional"]["value"],
-                "ratio": report.reports["fractional"]["bound_ratios"].get("holder", 0.0),
-            }
-        ]
+        report = xp.run(replace(spec, methods=("fractional",)))
+        frac = report.reports["fractional"]
+        rows = [{"j": 0, "interval": args.b - args.a, "lhs": frac["value"],
+                 "ratio": frac["bound_ratios"].get("holder", 0.0)}]
     elif args.check == "stability-w":
         _require(args, "bounds --check stability-w", "field2", "path")
         w1 = make_field(args.field)
         w2 = make_field(args.field2)
         phi = xp.load_path(args.path)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
-        chk = stability_in_medium(w1, w2, phi, reg, args.a, args.b, _quad(args))
+        chk, ratio, check = xp.medium_stability(w1, w2, phi, reg, args.a, args.b, _quad(args))
         rows = [{"j": 0, "interval": args.b - args.a, "lhs": chk.lhs,
-                 "term1": chk.term1, "term2": chk.term2,
-                 "ratio": (chk.lhs - chk.term1) / chk.term2 if chk.term2 > 0 else 0.0}]
-        check = xp._check("medium_two_term", chk.lhs,
-                          chk.term1 + xp.STABILITY_MEDIUM_CAP * chk.term2)
+                 "term1": chk.term1, "term2": chk.term2, "ratio": ratio}]
         report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0],
                               checks=[check])
     elif args.check == "stability-phi":
@@ -128,12 +121,10 @@ def cmd_bounds(args) -> int:
         phi = xp.load_path(args.path)
         phi2 = xp.load_path(args.path2)
         reg = Regularity(args.tau, getattr(args, "lambda"), args.gamma, args.alpha)
-        chk = stability_in_path(w1, phi, phi2, reg, args.theta, args.a, args.b, _quad(args))
-        denom = chk.term1 + chk.c2_shape * chk.term2
+        chk, ratio, check = xp.path_stability(w1, phi, phi2, reg, args.theta, args.a, args.b, _quad(args))
         rows = [{"j": 0, "interval": args.b - args.a, "lhs": chk.lhs,
                  "term1": chk.term1, "term2": chk.term2, "c2_shape": chk.c2_shape,
-                 "ratio": chk.lhs / denom if denom > 0 else 0.0}]
-        check = xp._check("path_two_term", chk.lhs, xp.STABILITY_PATH_CAP * denom)
+                 "ratio": ratio}]
         report = xp.RunReport(spec.name, spec.to_json_dict(), comparisons=rows[0],
                               checks=[check])
     else:

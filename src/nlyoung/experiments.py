@@ -490,6 +490,22 @@ STABILITY_PATH_CAP = 10.0
 STABILITY_THETA = 0.8
 
 
+def medium_stability(w1, w2, phi, reg: Regularity, u: float, v: float, cfg, name: str = "medium_two_term"):
+    """stability_in_medium on [u, v], its constant max(0, lhs - term1) / term2, and its capped check."""
+    sm = stability_in_medium(w1, w2, phi, reg, u, v, cfg)
+    constant = max(0.0, sm.lhs - sm.term1) / sm.term2 if sm.term2 > 0 else 0.0
+    return sm, constant, _check(name, sm.lhs, sm.term1 + STABILITY_MEDIUM_CAP * sm.term2)
+
+
+def path_stability(w, phi1, phi2, reg: Regularity, theta: float, u: float, v: float, cfg,
+                   name: str = "path_two_term"):
+    """stability_in_path on [u, v], its constant lhs / (term1 + c2_shape * term2), and its capped check."""
+    sp = stability_in_path(w, phi1, phi2, reg, theta, u, v, cfg)
+    denom = sp.term1 + sp.c2_shape * sp.term2
+    constant = sp.lhs / denom if denom > 0 else 0.0
+    return sp, constant, _check(name, sp.lhs, STABILITY_PATH_CAP * denom)
+
+
 def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = STABILITY_THETA) -> RunReport:
     """Medium and path stability on pinned Weierstrass families.
 
@@ -515,19 +531,12 @@ def stability_study(seed: int = 11, n_intervals: int = 10, theta: float = STABIL
     for idx in range(n_intervals):
         u = float(rng.uniform(0.0, 0.55))
         v = float(u + rng.uniform(0.3, 0.45))
-        sm = stability_in_medium(w1, w2, phi, reg, u, v, cfg)
-        c_med = max(0.0, (sm.lhs - sm.term1)) / sm.term2 if sm.term2 > 0 else 0.0
+        _, c_med, check = medium_stability(w1, w2, phi, reg, u, v, cfg, f"medium_two_term_{idx}")
         med_constants.append(c_med)
-        checks.append(
-            _check(f"medium_two_term_{idx}", sm.lhs, sm.term1 + STABILITY_MEDIUM_CAP * sm.term2)
-        )
-        sp = stability_in_path(w1, phi, phi2, reg, theta, u, v, cfg)
-        denom = sp.term1 + sp.c2_shape * sp.term2
-        c_path = sp.lhs / denom if denom > 0 else 0.0
+        checks.append(check)
+        _, c_path, check = path_stability(w1, phi, phi2, reg, theta, u, v, cfg, f"path_two_term_{idx}")
         path_constants.append(c_path)
-        checks.append(
-            _check(f"path_two_term_{idx}", sp.lhs, STABILITY_PATH_CAP * denom)
-        )
+        checks.append(check)
     return RunReport(
         "stability",
         comparisons={

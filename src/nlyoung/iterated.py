@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, Regularity, RegularityError
-from .nonlinear import Germ, IntegralReport, integrate_fractional, integrate_sewing
+from .nonlinear import IntegralReport, integrate_fractional, integrate_sewing, sewing_levels
 from .paths import SampledPath, path_diff
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, richardson
 from .regression import lag_scaling_slope, ls_slope
 
 __all__ = [
@@ -174,43 +174,25 @@ def diagonal_integral(
 # staged iterated integrals
 
 
-def _stage_path(germ, a: float, b: float, n_points: int, fine_level: int):
-    """Indefinite integral of a germ on a uniform grid via cumulative sums.
+def _stage_path(w: Field, phi, a: float, b: float, n_points: int, fine_level: int):
+    """int_a^s W(dr, phi_r) at n_points uniform s, from nonlinear.sewing_levels.
 
-    Computes partial Riemann sums at three nested dyadic levels and
-    Richardson-extrapolates per node with the order fitted at the endpoint.
+    The three finest levels, up to max(fine_level, log2(n_points - 1) + 2),
+    are summed cumulatively, read at the output nodes and extrapolated node
+    by node by quadrature.richardson at the order fitted at the endpoint.
     Returns (SampledPath, endpoint error estimate).
     """
     m_out = n_points - 1
-    if m_out & (m_out - 1):
+    if m_out < 1 or m_out & (m_out - 1):
         raise ValueError("n_points - 1 must be a power of two")
-    level_out = int(math.log2(m_out))
-    fine = max(fine_level, level_out + 2)
-    n_fine = 2**fine
-    ts = np.linspace(a, b, n_fine + 1)
-
-    def partials(step: int) -> np.ndarray:
-        left = ts[:-step:step]
-        right = ts[step::step]
-        inc = np.asarray(germ(left, right), dtype=float)
-        return np.concatenate([[0.0], np.cumsum(inc)])
-
-    stride = n_fine // m_out
-    p_fine = partials(1)[::stride]
-    p_mid = partials(2)[:: stride // 2]
-    p_coarse = partials(4)[:: stride // 4]
-
-    d1 = p_mid[-1] - p_coarse[-1]
-    d2 = p_fine[-1] - p_mid[-1]
-    values = p_fine
-    err = abs(d2)
-    if d1 != 0.0 and d2 != 0.0:
-        order = math.log2(abs(d1) / abs(d2))
-        if 0.05 <= order <= 4.0:
-            values = p_fine + (p_fine - p_mid) / (2.0**order - 1.0)
-            err = abs(values[-1] - p_fine[-1])
-    out_ts = np.linspace(a, b, n_points)
-    return SampledPath(out_ts, values), float(err)
+    fine = max(fine_level, m_out.bit_length() + 1)
+    partials = [
+        np.concatenate([[0.0], np.cumsum(level)])[:: 2**k // m_out]
+        for k, level in zip(range(fine + 1), sewing_levels(w, phi, a, b))
+        if k >= fine - 2
+    ]
+    values, err = richardson(*partials)
+    return SampledPath(np.linspace(a, b, n_points), values), float(err[-1])
 
 
 @dataclass(frozen=True)
@@ -262,10 +244,10 @@ def iterated_integral(
         reg = Regularity(joint.tau, joint.lam, 1.0)
         reg.require_admissible()
         if variant == "diagonal":
-            germ = Germ(DiagonalField(joint.field, carrier), _identity)
+            w, phi = DiagonalField(joint.field, carrier), _identity
         else:
-            germ = Germ(joint.field, carrier)
-        path, err = _stage_path(germ, a, b, n_points, fine_level)
+            w, phi = joint.field, carrier
+        path, err = _stage_path(w, phi, a, b, n_points, fine_level)
         err_total += err
         exponent = _estimated_exponent(path)
         stage_exponents.append(exponent)
@@ -323,7 +305,6 @@ def growth_check(
     a: float,
     scales,
     gamma_n: float,
-    cfg: QuadratureConfig | None = None,
     n_points: int = 257,
     fine_level: int = 12,
 ) -> GrowthResult:
@@ -341,7 +322,7 @@ def growth_check(
     values = []
     for h in scales:
         res = iterated_integral(
-            fields, rho, a, a + float(h), cfg, n_points, fine_level,
+            fields, rho, a, a + float(h), n_points=n_points, fine_level=fine_level,
             check_stage_regularity=False,
         )
         values.append(res.value)

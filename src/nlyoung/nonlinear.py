@@ -49,6 +49,7 @@ from .paths import (
 from .quadrature import (
     QuadratureConfig,
     refine_levels,  # unused here, but perfbench/spans.py wraps it in this module
+    richardson,
 )
 from .regression import lag_scaling_slope
 
@@ -64,6 +65,7 @@ __all__ = [
     "NormEstimates",
     "integrate_fractional",
     "integrate_sewing",
+    "sewing_levels",
     "alpha_independence",
     "AlphaIndependence",
     "BoundCheck",
@@ -273,12 +275,12 @@ class SewingTrace:
 _GERM_BLOCK = _BLOCK_ENTRIES // 4
 
 
-def _germ_sums(w: Field, phi, a: float, b: float):
-    """Germ Riemann sums over the dyadic partitions of [a, b], coarsest first.
+def _germ_levels(w: Field, phi, a: float, b: float):
+    """Germ arrays over the dyadic partitions of [a, b], coarsest first.
 
-    The germ is called on blocks of _GERM_BLOCK intervals and written into
-    one array per level, whose np.sum is the same pairwise sum as that of a
-    single call on the whole level.
+    Entry i of level k is mu(t_i, t_(i+1)) on the nodes
+    np.linspace(a, b, 2^k + 1).  The germ is called on blocks of _GERM_BLOCK
+    intervals, each written into the level's array.
     """
     germ = Germ(w, phi)
     k = 0
@@ -288,12 +290,12 @@ def _germ_sums(w: Field, phi, a: float, b: float):
         for i in range(0, level.size, _GERM_BLOCK):
             j = min(i + _GERM_BLOCK, level.size)
             level[i:j] = germ(ts[i:j], ts[i + 1:j + 1])
-        yield float(np.sum(level))
+        yield level
         k += 1
 
 
-def _separable_sums(g, h, phi, a: float, b: float):
-    """The sums of _germ_sums for W = g(t) h(x) with a plain g.
+def _separable_levels(g, h, phi, a: float, b: float):
+    """The levels of _germ_levels for W = g(t) h(x) with a plain g.
 
     The germ is (g(t_(i+1)) - g(t_i)) h(phi(t_i)), and each partition is the
     previous one plus its midpoints, so g and h(phi) are carried at the nodes
@@ -301,21 +303,39 @@ def _separable_sums(g, h, phi, a: float, b: float):
     through paths.sample_uniform, h on phi's values.  The midpoints are
     bitwise the odd nodes of np.linspace(a, b, n + 1) and the even ones are
     bitwise the coarser level's nodes, so for g and phi without `on_grid` the
-    sums match _germ_sums bit for bit.  A Weierstrass g or phi is sampled by
-    its on_grid, whose samples meet the series' accuracy contract instead of
-    matching its calls bit for bit.
+    levels match _germ_levels bit for bit.  A Weierstrass g or phi is sampled
+    by its on_grid, whose samples meet the series' accuracy contract instead
+    of matching its calls bit for bit.
     """
     ts = np.linspace(a, b, 2)
     gv = sample_uniform(g, ts, b - a)
     hv = np.asarray(h(sample_uniform(phi, ts, b - a)), dtype=float)
     n = 1
     while True:
-        yield float(np.sum((gv[1:] - gv[:-1]) * hv[:-1]))
+        yield (gv[1:] - gv[:-1]) * hv[:-1]
         n *= 2
         step = (b - a) / n
         mid = np.arange(1, n, 2) * step + a
         gv = _interleave(gv, sample_uniform(g, mid, 2.0 * step))
         hv = _interleave(hv, h(sample_uniform(phi, mid, 2.0 * step)))
+
+
+def sewing_levels(w: Field, phi, a: float, b: float):
+    """The germ mu(s, t) = W(t, phi_s) - W(s, phi_s) on the dyadic partitions
+    of [a, b] with 2^k intervals, one array per level k = 0, 1, ...
+
+    Media with a single separable term W = g(t) h(x) whose g has no `diff`
+    (so g increments are plain differences) reuse the nodes of the coarser
+    partitions: through level L, g, phi and h are evaluated at 2^L + 1
+    points in all.  Every other medium (grids, sums, differences, diagonal
+    media, products with a sampled g) calls the germ on all 2^k + 1 nodes of
+    every level.
+    """
+    terms = w.separable_terms()
+    if terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"):
+        (g, h), = terms
+        return _separable_levels(g, h, phi, float(a), float(b))
+    return _germ_levels(w, phi, a, b)
 
 
 def integrate_sewing(
@@ -328,35 +348,22 @@ def integrate_sewing(
 ) -> tuple[IntegralReport, SewingTrace]:
     """int_a^b W(dt, phi_t) as the limit of germ Riemann sums.
 
-    Dyadic partitions with 2^k intervals are refined until successive sums
-    differ by less than tol, from level 4 on, or max_levels is hit;
+    The sums are those of sewing_levels' levels, refined until successive
+    sums differ by less than tol, from level 4 on, or max_levels is hit;
     params["stop_reason"] says which.  max_levels must be at least 2, so
-    that there are two differences to extrapolate from.  The reported value is the Richardson
-    extrapolation of the last three sums at the observed order, falling back
-    to the finest sum when the order estimate is unstable.  A value or error
-    estimate that is not finite is reported with converged=False.
-
-    Media with a single separable term W = g(t) h(x) whose g has no `diff`
-    (so g increments are plain differences) reuse the nodes of the coarser
-    partitions: g, phi and h are evaluated at 2^L + 1 points in all for
-    L = levels_used.  Every other medium (grids, sums, differences, diagonal
-    media, products with a sampled g) calls the germ on all 2^k + 1 nodes of
-    every level.
+    that quadrature.richardson has three sums to extrapolate at their fitted
+    order.  A value or error estimate that is not finite is reported with
+    converged=False.
     """
     _require_interval(a, b)
     if max_levels < 2:
         raise ValueError(f"need max_levels >= 2, got {max_levels}")
     t0 = time.perf_counter()
-    terms = w.separable_terms()
-    if terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"):
-        (g, h), = terms
-        level_sums = _separable_sums(g, h, phi, float(a), float(b))
-    else:
-        level_sums = _germ_sums(w, phi, a, b)
+    levels = sewing_levels(w, phi, a, b)
     sums: list[float] = []
     stop_reason = "max_levels"
-    for k, level_sum in zip(range(max_levels + 1), level_sums):
-        sums.append(level_sum)
+    for k in range(max_levels + 1):
+        sums.append(float(np.sum(next(levels))))  # no level is held while the next is built
         if k >= 4 and abs(sums[-1] - sums[-2]) < tol:
             stop_reason = "tol"
             break
@@ -367,14 +374,7 @@ def integrate_sewing(
         for i in range(len(diffs) - 1)
         if diffs[i] > 0 and diffs[i + 1] > 0
     )
-    value = sums[-1]
-    err = diffs[-1] if diffs.size else 0.0
-    if diffs.size >= 2 and diffs[-1] > 0 and diffs[-2] > 0:
-        p = math.log2(diffs[-2] / diffs[-1])
-        if 0.05 <= p <= 4.0:
-            corr = (sums[-1] - sums[-2]) / (2.0**p - 1.0)
-            value = sums[-1] + corr
-            err = abs(corr)
+    value, err = richardson(*sums[-3:])
 
     scale = max(1.0, abs(value))
     # a non-finite value or estimate (h(phi) infinite somewhere, say) met no tolerance
@@ -602,10 +602,8 @@ def stability_in_medium(
     lhs = abs(r1.value - r2.value)
     diff = DifferenceField(w1, w2)
     term1 = abs(float(diff.increment_t(a, b, phi(a))))
-    box = _seminorm_box(diff, _phi_box(phi, a, b))
-    bracket = holder_seminorm_field(diff, reg, a, b, box).bracket
-    pn = holder_seminorm_path(_as_sampled(phi, a, b), reg.gamma, a, b).seminorm
-    term2 = bracket * pn**reg.lam * (b - a) ** (reg.tau + reg.lam * reg.gamma)
+    norms = estimate_norms(diff, phi, reg, a, b)
+    term2 = norms.field.bracket * norms.path.seminorm**reg.lam * (b - a) ** (reg.tau + reg.lam * reg.gamma)
     return StabilityCheck(lhs, term1, term2, (r1, r2))
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "marchaud_conv",
     "GridPlan",
     "grid_plan",
+    "richardson",
     "refine_levels",
 ]
 
@@ -335,6 +336,25 @@ def _within_tol(error_estimate: float, value: float, tol: float) -> bool:
     return bool(error_estimate <= tol * max(1.0, abs(value)))
 
 
+def richardson(coarse, mid, fine, order: float | None = None):
+    """(fine + corr, |corr|) with corr = (fine - mid) / (2^order - 1), entrywise
+    for arrays: the Richardson extrapolation of three levels whose cells halve.
+
+    Without a known `order` it is fitted on the last entries as
+    log2(|mid - coarse| / |fine - mid|); where that fails or falls outside
+    [0.05, 4], the result is (fine, |fine - mid|).
+    """
+    d2 = fine - mid
+    if order is None:
+        d1, d2_last = (mid - coarse, d2) if np.ndim(d2) == 0 else (mid[-1] - coarse[-1], d2[-1])
+        ratio = abs(d1) / abs(d2_last) if d2_last != 0.0 else math.inf
+        order = math.log2(ratio) if 0.0 < ratio < math.inf else math.nan
+        if not 0.05 <= order <= 4.0:
+            return fine, abs(d2)
+    corr = d2 / (2.0**order - 1.0)
+    return fine + corr, abs(corr)
+
+
 def refine_levels(
     evaluate: Callable[[int], float],
     n: int,
@@ -356,12 +376,12 @@ def refine_levels(
     vals = [evaluate(n // 4), evaluate(n // 2)]
     while True:
         vals.append(evaluate(n))
-        d1, d2 = vals[-2] - vals[-3], vals[-1] - vals[-2]
+        d2 = vals[-1] - vals[-2]
         if abs(d2) <= 1e-15 * max(abs(vals[-1]), 1e-300):  # a rounding-level change: the error itself
             value, err = vals[-1], abs(d2)
         else:
-            corr = d2 / (ratio - 1.0)
-            value, err = vals[-1] + corr, abs(corr) + abs(d1) / (ratio * (ratio - 1.0))
+            value, err = richardson(*vals[-3:], order)
+            err += abs(vals[-2] - vals[-3]) / (ratio * (ratio - 1.0))
         converged = _within_tol(err, value, tol)
         if converged or 2 * n > cap:
             return QuadResult(value, err, converged, tuple(vals), n)

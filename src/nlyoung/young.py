@@ -4,8 +4,7 @@ For f alpha-Holder and g beta-Holder with alpha + beta > 1 the integral equals
 
     -int_a^b D^gam_{a+} f(t) * D^{1-gam}_{b-} g_{b-}(t) dt
 
-for every gam in (1 - beta, alpha); the value must not depend on that choice,
-which young_gamma_independence probes.
+for every gam in (1 - beta, alpha); the value must not depend on that choice.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .fraccalc import dl_dr_integral
 from .paths import holder_seminorm_path, sample_function, sup_norm
 from .quadrature import QuadratureConfig
 
-__all__ = ["YoungResult", "young_integral", "young_gamma_independence"]
+__all__ = ["YoungResult", "young_integral"]
 
 _DEFAULT_CFG = QuadratureConfig(n_outer=768)
 
@@ -29,10 +28,6 @@ class YoungResult:
     error_estimate: float
     bound_ratio: float
     converged: bool = True
-
-
-def gamma_window(alpha_f: float, beta_g: float) -> tuple[float, float]:
-    return 1.0 - beta_g, alpha_f
 
 
 def young_integral(
@@ -56,7 +51,7 @@ def young_integral(
         raise RegularityError(
             f"need alpha_f + beta_g > 1, got {alpha_f:g} + {beta_g:g}"
         )
-    lo, hi = gamma_window(alpha_f, beta_g)
+    lo, hi = 1.0 - beta_g, alpha_f
     if gamma is None:
         gamma = 0.5 * (lo + hi)
     if not lo < gamma < hi:
@@ -74,23 +69,3 @@ def young_integral(
     )
     ratio = abs(quad.value) / denom if denom > 0 else 0.0
     return YoungResult(quad.value, gamma, quad.error_estimate, ratio, quad.converged)
-
-
-def young_gamma_independence(
-    f,
-    g,
-    alpha_f: float,
-    beta_g: float,
-    a: float,
-    b: float,
-    gammas,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Max pairwise spread of young_integral across fractional orders."""
-    lo, hi = gamma_window(alpha_f, beta_g)
-    values = []
-    for gam in gammas:
-        if not lo < gam < hi:
-            raise RegularityError(f"gamma={gam:g} outside window ({lo:g}, {hi:g})")
-        values.append(young_integral(f, g, alpha_f, beta_g, a, b, gam, cfg).value)
-    return float(max(values) - min(values))

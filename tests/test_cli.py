@@ -306,6 +306,27 @@ def test_bounds_stability_checks_its_cap(check, capsys, monkeypatch):
     assert not doc["checks"][0]["passed"]
 
 
+def test_bounds_stability_w_ratio_is_the_study_constant(capsys):
+    argv = ["bounds", "--check", "stability-w"] + _README_MEDIUM + _STABILITY_CHECKS["stability-w"][0]
+    code, out = run_cli(argv, capsys)
+    row = json.loads(out)["comparisons"]
+    assert code == 0
+    assert row["ratio"] == max(0.0, row["lhs"] - row["term1"]) / row["term2"]
+    assert row["ratio"] >= 0.0
+
+
+def test_bounds_holder_runs_the_fractional_route_only(capsys, monkeypatch):
+    def no_sewing(*args, **kwargs):
+        raise AssertionError("the holder check reads no sewing value")
+
+    monkeypatch.setattr("nlyoung.experiments.integrate_sewing", no_sewing)
+    code, out = run_cli(["bounds", "--check", "holder"] + _README_MEDIUM, capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc["reports"]) == ["fractional"]
+    assert doc["reports"]["fractional"]["bound_ratios"]["holder"] > 0.0
+
+
 def test_bounds_stability_phi_theta_defaults_to_the_study(capsys):
     # the README medium (tau 0.6, lam 1, gamma 0.7) needs theta > 4/7
     argv = ["bounds", "--check", "stability-phi"] + _README_MEDIUM + [

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from nlyoung.fields import ProductField, RegularityError
+from nlyoung.fields import GridField, ProductField, RegularityError, SumField
 from nlyoung.iterated import (
     DiagonalField,
     GrowthParams,
     JointField,
+    _identity,
+    _stage_path,
     diagonal_integral,
     growth_check,
     iterated_integral,
 )
+from nlyoung.nonlinear import Germ
 from nlyoung.paths import make_function, make_weierstrass, sample_function
 
 ident = make_function("identity")
@@ -104,6 +107,88 @@ def test_fractional_final_stage():
     res = iterated_integral([joint_of(ident)] * 3, one, 0.0, 1.0,
                             n_points=2049, fine_level=15, method="fractional")
     assert res.value == pytest.approx(1.0 / 6.0, rel=1e-4)
+
+
+def _three_stride_stage_path(germ, a, b, n_points, fine_level):
+    """A stage path from one dyadic partition at level F = max(fine_level,
+    log2(n_points - 1) + 2): the germ called at strides 1, 2 and 4 of its
+    nodes, with no node reuse, partial sums read at the output nodes and
+    extrapolated at the order fitted at the endpoint."""
+    m_out = n_points - 1
+    fine = max(fine_level, int(math.log2(m_out)) + 2)
+    ts = np.linspace(a, b, 2**fine + 1)
+
+    def partials(step):
+        inc = np.asarray(germ(ts[:-step:step], ts[step::step]), dtype=float)
+        return np.concatenate([[0.0], np.cumsum(inc)])[:: 2**fine // m_out // step]
+
+    p_fine, p_mid, p_coarse = partials(1), partials(2), partials(4)
+    d1, d2 = p_mid[-1] - p_coarse[-1], p_fine[-1] - p_mid[-1]
+    if d1 != 0.0 and d2 != 0.0:
+        order = math.log2(abs(d1) / abs(d2))
+        if 0.05 <= order <= 4.0:
+            values = p_fine + (p_fine - p_mid) / (2.0**order - 1.0)
+            return values, abs(values[-1] - p_fine[-1])
+    return p_fine, abs(d2)
+
+
+def _stage_media():
+    rng = np.random.RandomState(5)
+    ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-1.5, 1.5, 17)
+    grid = GridField(ts, xs, rng.randn(ts.size, xs.size))
+    wei = make_weierstrass(0.7, 10, phases=list(rng.uniform(0.0, 2.0 * np.pi, 10)))
+    grid_and_wei = SumField(grid, ProductField(wei, np.sin))
+    density = sample_function(np.cos, 0.0, 1.0, 256)
+    carrier = sample_function(lambda t: np.sin(3.0 * t), 0.0, 1.0, 256)
+    # (medium, path, whether the stage reuses nodes)
+    return {
+        "grid-diagonal": (DiagonalField(grid, density), _identity, False),
+        "grid-spatial": (grid, carrier, False),
+        "sum-diagonal": (DiagonalField(grid_and_wei, density), _identity, False),
+        "sampled-g-spatial": (ProductField(sample_function(wei, 0.0, 1.0, 300), np.sin), carrier, False),
+        "sin-diagonal": (DiagonalField(ProductField(np.sin, np.exp), density), _identity, True),
+        "sin-spatial": (ProductField(np.sin, np.exp), carrier, True),
+        "plain-wei-diagonal": (DiagonalField(ProductField(wei.__call__, np.cos), density), _identity, True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stage_media()))
+@pytest.mark.parametrize("n_points, fine_level", [(257, 12), (2049, 10)])
+def test_stage_path_matches_three_stride_oracle(name, n_points, fine_level):
+    w, phi, reuses_nodes = _stage_media()[name]
+    terms = w.separable_terms()
+    assert reuses_nodes == (terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"))
+    path, err = _stage_path(w, phi, 0.2, 0.9, n_points, fine_level)
+    want, want_err = _three_stride_stage_path(Germ(w, phi), 0.2, 0.9, n_points, fine_level)
+    np.testing.assert_array_equal(path.ts, np.linspace(0.2, 0.9, n_points))
+    # the error estimate is |correction| at b, where the oracle takes
+    # |extrapolated - finest|: the same up to one rounding of the path's value
+    assert err == pytest.approx(want_err, rel=1e-12, abs=4 * np.finfo(float).eps * abs(want[-1]))
+    if reuses_nodes:
+        # node reuse forms the germ as dg * (rho h), the oracle as rho * (dg h)
+        scale = float(np.max(np.abs(want)))
+        np.testing.assert_allclose(path.values, want, rtol=1e-13, atol=1e-13 * scale)
+    else:
+        np.testing.assert_array_equal(path.values, want)
+
+
+class _CountingG:
+    """A plain time factor that counts the points it is evaluated at."""
+
+    def __init__(self):
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return np.sin(t)
+
+
+@pytest.mark.parametrize("variant", ["diagonal", "spatial"])
+def test_stage_evaluates_g_once_per_node(variant):
+    g = _CountingG()
+    joint = JointField(ProductField(g, np.cos), 1.0, 1.0)
+    iterated_integral([joint], ident, 0.0, 1.0, n_points=257, fine_level=12, variant=variant)
+    assert g.points == 2**12 + 1
 
 
 def test_stage_paths_and_exponents():

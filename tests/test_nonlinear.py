@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -263,19 +264,20 @@ RAW_SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
 SEWING_PHI = _Counting(RAW_SEWING_PHI)
 
 
-def _one_shot_germ_sums(w, phi, a, b):
-    """Germ Riemann sums with one germ call on every node of every level."""
+def _one_shot_germ_levels(w, phi, a, b):
+    """Germ arrays of the dyadic levels with one germ call on every node of every level."""
     germ = Germ(w, phi)
     k = 0
     while True:
         ts = np.linspace(a, b, 2**k + 1)
-        yield float(np.sum(germ(ts[:-1], ts[1:])))
+        yield germ(ts[:-1], ts[1:])
         k += 1
 
 
 def _naive_germ_sums(w, phi, a, b, levels):
-    """The first levels + 1 sums of _one_shot_germ_sums."""
-    return tuple(itertools.islice(_one_shot_germ_sums(w, phi, a, b), levels + 1))
+    """The sums of the first levels + 1 arrays of _one_shot_germ_levels."""
+    arrays = itertools.islice(_one_shot_germ_levels(w, phi, a, b), levels + 1)
+    return tuple(float(np.sum(level)) for level in arrays)
 
 
 @pytest.mark.parametrize("name", sorted(SEWING_MEDIA))
@@ -341,10 +343,25 @@ def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interv
     a, b = interval
     rep, trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nonlinear, "_germ_sums", _one_shot_germ_sums)
+        mp.setattr(nonlinear, "_germ_levels", _one_shot_germ_levels)
         want_rep, want_trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
     assert trace == want_trace
     assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
+
+
+def test_sewing_holds_no_finished_level():
+    # the finest level of a 2^18 solve is 2 MB and its carried nodes 4 MB; a
+    # finished level held while the next one is built would add 1 MB more
+    w = RAW_SEWING_MEDIA["weierstrass-product"]
+    integrate_sewing(w, RAW_SEWING_PHI, 0.0, 1.0, max_levels=8)  # the series' own setup
+    tracemalloc.start()
+    try:
+        rep, _ = integrate_sewing(w, RAW_SEWING_PHI, 0.0, 1.0, max_levels=18, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.levels_used == 18
+    assert peak < 7.8e6
 
 
 @pytest.mark.parametrize("name", ["diagonal", "sin-product", "weierstrass-product"])

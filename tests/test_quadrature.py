@@ -13,6 +13,7 @@ from nlyoung.quadrature import (
     marchaud_conv,
     marchaud_kernel,
     refine_levels,
+    richardson,
 )
 
 
@@ -243,6 +244,36 @@ def test_grid_plan_outer_weights_beta_integral():
     got = grid_plan(1.0 / 3.0, n).outer_sum(np.ones(n + 1))
     beta = math.gamma(2.0 / 3.0) * math.gamma(1.0 / 3.0)
     assert got == pytest.approx(beta, rel=1e-5)
+
+
+def test_richardson_known_and_fitted_order():
+    # levels L - c 2^(-p k) for k = 0, 1, 2: both rules recover L at order p
+    for p in (0.5, 1.0, 2.0):
+        coarse, mid, fine = (1.0 - 0.3 * 2.0 ** (-p * k) for k in range(3))
+        for order in (p, None):
+            value, err = richardson(coarse, mid, fine, order)
+            assert value == pytest.approx(1.0, abs=1e-15)
+            assert err == pytest.approx(0.3 * 2.0 ** (-2 * p), rel=1e-12)
+    # entrywise on arrays, with the order fitted on the last entries
+    ks = np.arange(3)[:, None]
+    levels = np.array([0.0, 1.0, 2.0]) - np.array([0.1, 0.2, 0.4]) * 2.0 ** (-ks)
+    values, errs = richardson(*levels)
+    np.testing.assert_allclose(values, [0.0, 1.0, 2.0], atol=1e-15)
+    np.testing.assert_allclose(errs, [0.025, 0.05, 0.1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("levels", [
+    (0.0, 1.0, 2.0),      # order 0: the differences do not shrink
+    (0.0, 1.0, 1.0 / 32.0 + 1.0),  # order 5, above the clamp
+    (1.0, 1.0, 1.5),      # no coarse difference to fit on
+    (0.0, 1.0, 1.0),      # no fine difference
+    (0.0, math.inf, 1.0),
+])
+def test_richardson_without_a_fitted_order_keeps_the_finest(levels):
+    coarse, mid, fine = levels
+    value, err = richardson(coarse, mid, fine)
+    assert value == fine
+    assert err == abs(fine - mid)
 
 
 def test_refine_levels_fixed_order():

@@ -132,7 +132,7 @@ def cmd_bounds(args) -> int:
     if args.out:
         xp.write_csv_rows(Path(args.out) / f"{spec.name}.csv", rows)
     _emit(args, report.to_json_dict(not args.no_timestamp), f"{spec.name}.json")
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
+    return _verdict(report)
 
 
 def cmd_indefinite(args) -> int:

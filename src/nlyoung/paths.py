@@ -26,6 +26,14 @@ __all__ = [
 
 PathLike = Callable[[np.ndarray], np.ndarray]
 
+# entries per temporary array of a blocked evaluation: 256 KB of floats, so a
+# block's temporaries stay in cache and glibc serves them from its heap rather
+# than mapping (and faulting in) fresh pages for every block.  The path
+# seminorm takes blocks of lags of this many pairs, the field seminorm's probe
+# products row blocks of this many entries, the sewing germ a quarter of it
+# and a base-2 series call an eighth (it keeps four buffers of its block).
+_BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class SampledPath:
@@ -134,16 +142,31 @@ class WeierstrassFunction:
     every quantity the package computes from it is resolvable in floats.
     Identical constructor arguments give bitwise-identical values.
 
-    Two evaluators: calling the function takes one cosine per point and
-    scale; `on_grid` samples a uniform grid by one factored matrix product.
-    Both meet the same accuracy contract: at the points t, the error is at
-    most a small multiple of eps * sum_k A_k (1 + F_k max|t| + |p_k|), with
-    the amplitudes A_k = base^(-k H), frequencies F_k = base^k and phases
-    p_k.  The F_k |t| and |p_k| terms are the rounding of the cosine's
-    argument: fl(fl(F_k t) + p_k) is off by at most (eps/2) (|F_k t| +
-    |F_k t + p_k|) <= eps (F_k |t| + |p_k| / 2), and the cosine passes that
-    error on with a factor of at most one.  Their values agree within that
-    bound, not bitwise.
+    Two evaluators: calling the function evaluates at arbitrary points;
+    `on_grid` samples a uniform grid by one factored matrix product.  Both
+    meet the same accuracy contract: at the points t, the error is at most a
+    small multiple of eps * sum_k A_k (1 + F_k max|t| + |p_k|), with the
+    amplitudes A_k = base^(-k H), frequencies F_k = base^k and phases p_k.
+    Their values agree within that bound, not bitwise.
+
+    A call with base 2 takes two sines per point.  F_k t = 2^k t is exact,
+    so each scale follows from the one before by the double angle: with
+    d = 1 - cos(F_k t) and s = sin(F_k t), from d = 2 sin(t/2)^2,
+      d <- s^2 + d (2 - d),   s <- 2 (s - s d),
+    which is (c, s) <- (c^2 - s^2, 2 c s) for c = 1 - d, without the
+    cancellation of 1 - c at small angles.  Scale k adds
+    A_k cos(p_k) (1 - d) - A_k sin(p_k) s, the constants A_k cos(p_k) summed
+    once by math.fsum.  A doubling doubles the errors of the angle and of the
+    modulus and adds one rounding: at most eps/2 relative while the angle is
+    small, about eps absolute after.  So at scale k both errors are eps
+    F_k |t| times a small factor (at most log2(1/|t|)/2 for |t| < 1, were
+    every small-angle rounding to fall the same way): the contract's F_k |t|
+    term, with no renormalisation.  Any other base takes one cosine per point
+    and scale; there the F_k |t| and |p_k| terms are the rounding of the
+    cosine's argument: fl(fl(F_k t) + p_k) is off by at most
+    (eps/2) (|F_k t| + |F_k t + p_k|) <= eps (F_k |t| + |p_k| / 2), and the
+    cosine passes that error on with a factor of at most one.  Either way a
+    point's value does not depend on the array it is in.
     """
 
     def __init__(
@@ -171,19 +194,62 @@ class WeierstrassFunction:
             raise ValueError("phases must be finite")
         self._amps = self.base ** (-self.H * np.arange(self.scales))
         self._freqs = self.base ** np.arange(self.scales)
+        # A_k cos(F_k t + p_k) = A_k cos(p_k) cos(F_k t) - A_k sin(p_k) sin(F_k t)
+        self._cos_amps = self._amps * np.cos(self.phases)
+        self._sin_amps = self._amps * np.sin(self.phases)
+        self._cos_amps_sum = math.fsum(self._cos_amps)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
-        tmp = np.empty_like(arr)
-        for a, w, p in zip(self._amps, self._freqs, self.phases):
-            # out += a * cos(w * arr + p), without a temporary per operation
-            np.multiply(arr, w, out=tmp)
-            tmp += p
-            np.cos(tmp, out=tmp)
-            tmp *= a
-            out += tmp
+        if self.base == 2.0:
+            out = self._doubling(arr.ravel()).reshape(arr.shape)
+        else:
+            out = np.zeros_like(arr)
+            tmp = np.empty_like(arr)
+            for a, w, p in zip(self._amps, self._freqs, self.phases):
+                # out += a * cos(w * arr + p), without a temporary per operation
+                np.multiply(arr, w, out=tmp)
+                tmp += p
+                np.cos(tmp, out=tmp)
+                tmp *= a
+                out += tmp
         return out if np.ndim(t) else float(out)
+
+    def _doubling(self, x: np.ndarray) -> np.ndarray:
+        """The base-2 series at the flat array x by angle doubling (class doc).
+
+        Blocks of _BLOCK_ENTRIES // 8 points share four buffers.  Only real
+        ufuncs touch a point's numbers, so its value is the same in any array.
+        """
+        out = np.empty_like(x)
+        size = _BLOCK_ENTRIES // 8
+        bufs = [np.empty(min(size, x.size)) for _ in range(4)]
+        for lo in range(0, x.size, size):
+            block = x[lo:lo + size]
+            d, s, u, v = (buf[:block.size] for buf in bufs)
+            acc = out[lo:lo + block.size]
+            np.multiply(block, 0.5, out=d)
+            np.sin(d, out=d)
+            d *= d
+            d += d
+            np.sin(block, out=s)
+            acc.fill(0.0)
+            for k, (ca, sa) in enumerate(zip(self._cos_amps, self._sin_amps)):
+                if k:
+                    np.multiply(s, d, out=v)
+                    np.subtract(2.0, d, out=u)
+                    u *= d
+                    np.multiply(s, s, out=d)
+                    d += u
+                    s -= v
+                    s += s
+                np.multiply(d, ca, out=u)
+                acc -= u
+                if sa != 0.0:
+                    np.multiply(s, sa, out=u)
+                    acc -= u
+            acc += self._cos_amps_sum
+        return out
 
     def on_grid(self, start: float, step: float, count: int) -> np.ndarray:
         """f(start + i * step) for i = 0..count-1.
@@ -262,12 +328,6 @@ def sup_norm(f, a: float, b: float, n: int = 2048) -> float:
 
 _ALL_PAIRS_LIMIT = 2048
 _DENSE_LAGS = 64
-# entries per temporary array of a blocked evaluation: 256 KB of floats, so a
-# block's temporaries stay in cache and glibc serves them from its heap rather
-# than mapping (and faulting in) fresh pages for every block.  The path
-# seminorm takes blocks of lags of this many pairs, the field seminorm's probe
-# products row blocks of this many entries, the sewing germ a quarter of it.
-_BLOCK_ENTRIES = 1 << 15
 # relative slack of the per-lag bounds; it covers the few ulps by which the
 # rounding of a power and a quotient can move a bound, with a wide margin
 _BOUND_SLACK = 1e-12

@@ -322,9 +322,13 @@ def test_bounds_holder_runs_the_fractional_route_only(capsys, monkeypatch):
     monkeypatch.setattr("nlyoung.experiments.integrate_sewing", no_sewing)
     code, out = run_cli(["bounds", "--check", "holder"] + _README_MEDIUM, capsys)
     doc = json.loads(out)
-    assert code == 0
+    # the README medium meets tol=1e-5 on no grid up to the cap: exit 3, as integrate
+    assert code == 3 and doc["nonconverged"] and doc["passed"]
     assert list(doc["reports"]) == ["fractional"]
     assert doc["reports"]["fractional"]["bound_ratios"]["holder"] > 0.0
+    code, out = run_cli(["bounds", "--check", "holder"] + _README_MEDIUM + ["--quad", "tol=5e-3"], capsys)
+    frac = json.loads(out)["reports"]["fractional"]
+    assert code == 0 and frac["converged"] and frac["params"]["grid_cells"] == 8192
 
 
 def test_bounds_stability_phi_theta_defaults_to_the_study(capsys):

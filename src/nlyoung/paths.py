@@ -33,6 +33,9 @@ PathLike = Callable[[np.ndarray], np.ndarray]
 # products row blocks of this many entries, the sewing germ a quarter of it
 # and a base-2 series call an eighth (it keeps four buffers of its block).
 _BLOCK_ENTRIES = 1 << 15
+# most scales a base-2 series takes by angle doubling (WeierstrassFunction):
+# its modulus error at scale k, about 2^k eps, stays below 1/2 up to scale 51
+_DOUBLING_SCALES = 52
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,12 @@ class WeierstrassFunction:
     small, about eps absolute after.  So at scale k both errors are eps
     F_k |t| times a small factor (at most log2(1/|t|)/2 for |t| < 1, were
     every small-angle rounding to fall the same way): the contract's F_k |t|
-    term, with no renormalisation.  Any other base takes one cosine per point
-    and scale; there the F_k |t| and |p_k| terms are the rounding of the
-    cosine's argument: fl(fl(F_k t) + p_k) is off by at most
+    term, with no renormalisation.  That holds while the modulus error, about
+    eps F_k min(1, |t|), is small: once it nears 1 each doubling squares the
+    modulus, which overflows a few scales later.  So a base-2 series of more
+    than 52 scales takes one cosine per point and scale, as does any other
+    base.  There the F_k |t| and |p_k| terms are the rounding of the cosine's
+    argument: fl(fl(F_k t) + p_k) is off by at most
     (eps/2) (|F_k t| + |F_k t + p_k|) <= eps (F_k |t| + |p_k| / 2), and the
     cosine passes that error on with a factor of at most one.  Either way a
     point's value does not depend on the array it is in.
@@ -201,7 +207,7 @@ class WeierstrassFunction:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if self.base == 2.0:
+        if self.base == 2.0 and self.scales <= _DOUBLING_SCALES:
             out = self._doubling(arr.ravel()).reshape(arr.shape)
         else:
             out = np.zeros_like(arr)
@@ -245,9 +251,8 @@ class WeierstrassFunction:
                     s += s
                 np.multiply(d, ca, out=u)
                 acc -= u
-                if sa != 0.0:
-                    np.multiply(s, sa, out=u)
-                    acc -= u
+                np.multiply(s, sa, out=u)
+                acc -= u
             acc += self._cos_amps_sum
         return out
 

@@ -250,19 +250,34 @@ def test_weierstrass_on_grid_within_contract_of_extended_reference(base, start, 
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+@pytest.mark.parametrize("scales", [20, 40])
 @pytest.mark.parametrize("phased", [False, True])
 @pytest.mark.parametrize("H", [0.05, 0.3, 0.6])
 @pytest.mark.parametrize("start, stop", [(0.0, 1e-3), (1e-9, 1e-7), (-1e-5, 1e-5)])
-def test_weierstrass_base2_call_within_contract_near_zero(start, stop, H, phased):
+def test_weierstrass_base2_call_within_contract_near_zero(start, stop, H, phased, scales):
     # a base-2 call reaches scale k by k angle doublings from t, so the
-    # roundings made while the angle is small grow 2^19-fold by scale 19,
+    # roundings made while the angle is small grow 2^k-fold by scale k,
     # and the fine scales' amplitudes are nearly 1 at small H.  Zero phases
     # leave the bound no |p_k| term.  The points span several of the call's
     # blocks, each starting its doublings afresh.
     count = 3 * 4096 + 5
-    phases = list(np.random.default_rng(count).uniform(0.0, 2.0 * np.pi, 20)) if phased else None
-    w = make_weierstrass(H, 20, base=2.0, phases=phases)
+    phases = list(np.random.default_rng(count).uniform(0.0, 2.0 * np.pi, scales)) if phased else None
+    w = make_weierstrass(H, scales, base=2.0, phases=phases)
     t = np.linspace(start, stop, count)
+    got = w(t)
+    assert float(np.max(np.abs(got - _longdouble_at(w, t)))) <= _grid_bound(w, t)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+@pytest.mark.parametrize("scales", [52, 53, 60, 64])
+@pytest.mark.parametrize("start, stop", [(0.5, 1.0), (-2.0, 2.0)])
+def test_weierstrass_base2_call_within_contract_at_many_scales(start, stop, scales):
+    # at scale k the doublings' modulus error is about 2^k eps for |t| >= 1/2;
+    # past 52 scales it would near 1 and the doubling would square it to
+    # overflow, so such a series takes the cosine loop instead
+    phases = list(np.random.default_rng(scales).uniform(0.0, 2.0 * np.pi, scales))
+    w = make_weierstrass(0.5, scales, base=2.0, phases=phases)
+    t = np.linspace(start, stop, 4097)
     got = w(t)
     assert float(np.max(np.abs(got - _longdouble_at(w, t)))) <= _grid_bound(w, t)
 

@@ -337,7 +337,9 @@ class GridField(Field):
         intervals, where s[1:] equals t[:-1] as in the sewing germ's
         partitions, have each node located once.  Increments read the nodal
         values, not the rank expansion of separable_terms, so its tolerance
-        does not reach them.
+        does not reach them; the sewing route calls them only for a grid of
+        rank above nonlinear._REUSE_TERMS, and sews a grid of lower rank
+        from its terms.
         """
         s, t, x = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(x, dtype=float)

@@ -188,8 +188,7 @@ def _stage_path(w: Field, phi, a: float, b: float, n_points: int, fine_level: in
     fine = max(fine_level, m_out.bit_length() + 1)
     partials = [
         np.concatenate([[0.0], np.cumsum(level)])[:: 2**k // m_out]
-        for k, level in zip(range(fine + 1), sewing_levels(w, phi, a, b))
-        if k >= fine - 2
+        for k, level in zip(range(fine - 2, fine + 1), sewing_levels(w, phi, a, b, fine, fine - 2))
     ]
     values, err = richardson(*partials)
     return SampledPath(np.linspace(a, b, n_points), values), float(err[-1])

@@ -273,69 +273,125 @@ class SewingTrace:
 # intervals per germ call: a grid germ keeps about a dozen arrays of its
 # block's length live at once, so it takes a quarter of the block budget
 _GERM_BLOCK = _BLOCK_ENTRIES // 4
+# most separable terms a medium may have to sew from its terms.  The germ
+# route's cost does not depend on the rank and the term route's grows with
+# it: on 257 x 65 random grids at 2^18 intervals (minima of 15 interleaved
+# solves), rank 4 took 27.6 ms on the terms against 31.7 ms by germ calls,
+# rank 5 35.3 against 30.3 ms.
+_REUSE_TERMS = 4
 
 
-def _germ_levels(w: Field, phi, a: float, b: float):
-    """Germ arrays over the dyadic partitions of [a, b], coarsest first.
+def _germ_levels(w: Field, phi, a: float, b: float, last: int, first: int):
+    """Germ arrays of the dyadic partitions of [a, b] at levels first..last.
 
     Entry i of level k is mu(t_i, t_(i+1)) on the nodes
     np.linspace(a, b, 2^k + 1).  The germ is called on blocks of _GERM_BLOCK
     intervals, each written into the level's array.
     """
     germ = Germ(w, phi)
-    k = 0
-    while True:
+    for k in range(first, last + 1):
         ts = np.linspace(a, b, 2**k + 1)
         level = np.empty(2**k)
         for i in range(0, level.size, _GERM_BLOCK):
             j = min(i + _GERM_BLOCK, level.size)
             level[i:j] = germ(ts[i:j], ts[i + 1:j + 1])
         yield level
-        k += 1
 
 
-def _separable_levels(g, h, phi, a: float, b: float):
-    """The levels of _germ_levels for W = g(t) h(x) with a plain g.
+def _term_level(gv, hv) -> np.ndarray:
+    """sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)) from the values g_k(t_i)
+    and h_k(phi(t_i)) at the nodes, added in term order."""
+    level = (gv[0][1:] - gv[0][:-1]) * hv[0][:-1]
+    for g, h in zip(gv[1:], hv[1:]):
+        level += (g[1:] - g[:-1]) * h[:-1]
+    return level
 
-    The germ is (g(t_(i+1)) - g(t_i)) h(phi(t_i)), and each partition is the
-    previous one plus its midpoints, so g and h(phi) are carried at the nodes
-    and only evaluated at the new midpoints.  g and phi are sampled there
-    through paths.sample_uniform, h on phi's values.  The midpoints are
-    bitwise the odd nodes of np.linspace(a, b, n + 1) and the even ones are
-    bitwise the coarser level's nodes, so for g and phi without `on_grid` the
-    levels match _germ_levels bit for bit.  A Weierstrass g or phi is sampled
-    by its on_grid, whose samples meet the series' accuracy contract instead
-    of matching its calls bit for bit.
+
+def _refine_nodes(terms, phi, gv, hv, a: float, b: float, k: int) -> None:
+    """Replace the values at the nodes of level k - 1 in gv and hv by those
+    at the nodes of level k, sampling the terms at the new midpoints only."""
+    step = (b - a) / 2**k
+    mid = np.arange(1, 2**k, 2) * step + a
+    x = sample_uniform(phi, mid, 2.0 * step)
+    for r, (g, h) in enumerate(terms):
+        gv[r] = _interleave(gv[r], sample_uniform(g, mid, 2.0 * step))
+        hv[r] = _interleave(hv[r], h(x))
+
+
+def _last_level(terms, phi, gv, hv, a: float, b: float, last: int) -> np.ndarray:
+    """_term_level at level last from the values at the nodes of level
+    last - 1 and the new midpoints, without the values at its own nodes.
+
+    Its even and odd entries are (m_i - g_i) h_i and (g_(i+1) - m_i) hm_i
+    per term, with m_i and hm_i the term's values at the midpoints, which
+    are taken in blocks of _BLOCK_ENTRIES // r for r terms.
+    """
+    step = (b - a) / 2**last
+    level = np.empty(2**last)
+    even, odd = level[0::2], level[1::2]
+    size = _BLOCK_ENTRIES // len(terms)
+    for i in range(0, even.size, size):
+        j = min(i + size, even.size)
+        mid = np.arange(2 * i + 1, 2 * j, 2) * step + a
+        x = sample_uniform(phi, mid, 2.0 * step)
+        for r, (g, h) in enumerate(terms):
+            m = sample_uniform(g, mid, 2.0 * step)
+            lo = (m - gv[r][i:j]) * hv[r][i:j]
+            hi = (gv[r][i + 1:j + 1] - m) * h(x)
+            if r:
+                even[i:j] += lo
+                odd[i:j] += hi
+            else:
+                even[i:j], odd[i:j] = lo, hi
+    return level
+
+
+def _separable_levels(terms, phi, a: float, b: float, last: int, first: int):
+    """The levels first..last for W = sum_k g_k(t) h_k(x), from the terms:
+    entry i is sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)), in term order.
+
+    Each partition is the previous one plus its midpoints, so every g_k and
+    h_k(phi) is carried at the nodes of the levels below last and evaluated
+    only at the new midpoints, phi once for all the terms; the last level
+    comes from the carried nodes and its own midpoints (_last_level).  No
+    level below first is formed.  g_k and phi are sampled through
+    paths.sample_uniform, h_k on phi's values.  The midpoints are bitwise
+    the odd nodes of np.linspace(a, b, n + 1) and the even ones bitwise the
+    coarser level's nodes, so for g_k and phi without `on_grid` each entry
+    is the term sum on those nodes bit for bit.  A Weierstrass g_k or phi is
+    sampled by its on_grid, which meets the series' accuracy contract
+    instead of matching its calls bit for bit.
     """
     ts = np.linspace(a, b, 2)
-    gv = sample_uniform(g, ts, b - a)
-    hv = np.asarray(h(sample_uniform(phi, ts, b - a)), dtype=float)
-    n = 1
-    while True:
-        yield (gv[1:] - gv[:-1]) * hv[:-1]
-        n *= 2
-        step = (b - a) / n
-        mid = np.arange(1, n, 2) * step + a
-        gv = _interleave(gv, sample_uniform(g, mid, 2.0 * step))
-        hv = _interleave(hv, h(sample_uniform(phi, mid, 2.0 * step)))
+    x = sample_uniform(phi, ts, b - a)
+    gv = [sample_uniform(g, ts, b - a) for g, _ in terms]
+    hv = [np.asarray(h(x), dtype=float) for _, h in terms]
+    for k in range(last):
+        if k:
+            _refine_nodes(terms, phi, gv, hv, a, b, k)
+        if k >= first:
+            yield _term_level(gv, hv)
+    yield _last_level(terms, phi, gv, hv, a, b, last)
 
 
-def sewing_levels(w: Field, phi, a: float, b: float):
+def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
     """The germ mu(s, t) = W(t, phi_s) - W(s, phi_s) on the dyadic partitions
-    of [a, b] with 2^k intervals, one array per level k = 0, 1, ...
+    of [a, b] with 2^k intervals, one array per level k = first..last.
 
-    Media with a single separable term W = g(t) h(x) whose g has no `diff`
-    (so g increments are plain differences) reuse the nodes of the coarser
-    partitions: through level L, g, phi and h are evaluated at 2^L + 1
-    points in all.  Every other medium (grids, sums, differences, diagonal
-    media, products with a sampled g) calls the germ on all 2^k + 1 nodes of
-    every level.
+    Media with one to _REUSE_TERMS separable terms sum the germ of their
+    terms, sum_k (g_k(t) - g_k(s)) h_k(phi_s), from the nodes of the coarser
+    partitions (_separable_levels): through level L, every g_k, h_k and phi
+    is evaluated at 2^L + 1 points in all, and the last level is formed
+    without carrying its nodes.  Media with more terms, or with none, call
+    the germ on all 2^k + 1 nodes of each level from first on.  Needs
+    0 <= first <= last and last >= 1.
     """
+    if not 0 <= first <= last or last < 1:
+        raise ValueError(f"need 0 <= first <= last and last >= 1, got first={first}, last={last}")
     terms = w.separable_terms()
-    if terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"):
-        (g, h), = terms
-        return _separable_levels(g, h, phi, float(a), float(b))
-    return _germ_levels(w, phi, a, b)
+    if terms and len(terms) <= _REUSE_TERMS:
+        return _separable_levels(terms, phi, float(a), float(b), last, first)
+    return _germ_levels(w, phi, a, b, last, first)
 
 
 def integrate_sewing(
@@ -348,18 +404,18 @@ def integrate_sewing(
 ) -> tuple[IntegralReport, SewingTrace]:
     """int_a^b W(dt, phi_t) as the limit of germ Riemann sums.
 
-    The sums are those of sewing_levels' levels, refined until successive
-    sums differ by less than tol, from level 4 on, or max_levels is hit;
-    params["stop_reason"] says which.  max_levels must be at least 2, so
-    that quadrature.richardson has three sums to extrapolate at their fitted
-    order.  A value or error estimate that is not finite is reported with
+    The sums are those of the levels of sewing_levels(w, phi, a, b,
+    max_levels), refined until successive sums differ by less than tol, from
+    level 4 on, or max_levels is hit; params["stop_reason"] says which.
+    max_levels must be at least 2, so that quadrature.richardson has three
+    sums to extrapolate at their fitted order.  A value or error estimate that is not finite is reported with
     converged=False.
     """
     _require_interval(a, b)
     if max_levels < 2:
         raise ValueError(f"need max_levels >= 2, got {max_levels}")
     t0 = time.perf_counter()
-    levels = sewing_levels(w, phi, a, b)
+    levels = sewing_levels(w, phi, a, b, max_levels)
     sums: list[float] = []
     stop_reason = "max_levels"
     for k in range(max_levels + 1):

@@ -30,8 +30,9 @@ PathLike = Callable[[np.ndarray], np.ndarray]
 # block's temporaries stay in cache and glibc serves them from its heap rather
 # than mapping (and faulting in) fresh pages for every block.  The path
 # seminorm takes blocks of lags of this many pairs, the field seminorm's probe
-# products row blocks of this many entries, the sewing germ a quarter of it
-# and a base-2 series call an eighth (it keeps four buffers of its block).
+# products row blocks of this many entries, the sewing germ a quarter of it,
+# the last sewing level of r separable terms 1/r of it in midpoints and a
+# base-2 series call an eighth (it keeps four buffers of its block).
 _BLOCK_ENTRIES = 1 << 15
 # most scales a base-2 series takes by angle doubling (WeierstrassFunction):
 # its modulus error at scale k, about 2^k eps, stays below 1/2 up to scale 51

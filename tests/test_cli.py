@@ -520,6 +520,20 @@ def test_grid_covering_the_path_by_a_thin_margin(method, tmp_path, capsys):
     assert json.loads(out)["reports"]["fractional"]["bound_ratios"]["holder"] > 0.0
 
 
+@pytest.mark.parametrize("miss", ["x-axis", "time-axis"])
+def test_two_term_grid_off_its_axes_exits_2(miss, tmp_path, capsys):
+    if miss == "x-axis":  # the grid's x axis misses the path's extremes
+        grid, path = _write_grid_inputs(tmp_path, -0.05)
+        bounds = ["--a", "0", "--b", "1"]
+    else:  # a constant path inside the x axis, over [0, 1.5] past the time axis
+        grid, _ = _write_grid_inputs(tmp_path, 0.1)
+        path = f"const:c={json.loads(Path(grid).read_text())['xs'][16]!r}"
+        bounds = ["--a", "0", "--b", "1.5"]
+    code, out = run_cli(_GRID_RUN + ["--method", "sewing", "--field", grid, "--path", path, *bounds], capsys)
+    assert code == 2
+    assert out == ""
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(
     slot=st.sampled_from(["a", "b", "field-descriptor", "path-descriptor", "path-sample", "grid-value"]),

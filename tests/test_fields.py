@@ -613,8 +613,9 @@ def test_field_seminorm_memory_on_large_grid():
 
 @pytest.mark.parametrize("route, cap", [("seminorm", 4e6), ("sewing", 3e6)])
 def test_grid_data_medium_stays_block_sized(route, cap):
-    # the probe products and the germ calls of a sewing level are taken in
-    # cache-sized blocks; taken whole, they would hold about 30 and 6.8 MB
+    # the probe products and the midpoints of the last sewing level are
+    # taken in cache-sized blocks; the probe products taken whole would hold
+    # about 30 MB
     ts, xs, values, phi = _rank2_grid_and_path()
     grid = GridField(ts, xs, values)
     assert len(grid.separable_terms()) == 2
@@ -626,17 +627,33 @@ def test_grid_data_medium_stays_block_sized(route, cap):
     assert _traced_peak(runs[route]) < cap
 
 
+def test_two_term_grid_sewing_memory_at_level_18():
+    # the rows carried into the last level, g_k and h_k(phi) for both terms
+    # at 2^17 + 1 nodes, 4.2 MB; the last level, 2^18 floats, 2.1 MB; one
+    # block of its midpoints, about a dozen arrays of 2^14 floats, 1.6 MB
+    ts, xs, values, phi = _rank2_grid_and_path()
+    grid = GridField(ts, xs, values)
+    assert len(grid.separable_terms()) == 2
+    assert _traced_peak(lambda: integrate_sewing(grid, phi, 0.0, 1.0, max_levels=18, tol=0.0)) < 8e6
+
+
 def test_grid_sewing_sums_bitwise_equal_oracle_germ():
-    # levels up to 10 have fewer partition nodes than _MERGE_RATIO times the
-    # 257 time nodes and are located by binary search, levels 11 and 12 by merge
+    # a two-term grid sews from its terms' carried nodes: its sums are
+    # bitwise those of sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)), added in
+    # term order, and within rounding of the sums of the oracle germ
     ts, xs, values, phi = _rank2_grid_and_path()
     grid = GridField(ts, xs, values)
     _, trace = integrate_sewing(grid, phi, 0.0, 1.0, max_levels=12, tol=0.0)
-    want = []
+    (g0, h0), (g1, h1) = grid.separable_terms()
+    want, germ = [], []
     for k in range(13):
         nodes = np.linspace(0.0, 1.0, 2**k + 1)
-        want.append(float(np.sum(_where_increment_t(grid, nodes[:-1], nodes[1:], phi(nodes[:-1])))))
+        x = phi(nodes[:-1])
+        level = np.diff(g0(nodes)) * h0(x) + np.diff(g1(nodes)) * h1(x)
+        want.append(float(np.sum(level)))
+        germ.append(float(np.sum(_where_increment_t(grid, nodes[:-1], nodes[1:], x))))
     assert np.array(trace.sums).tobytes() == np.array(want).tobytes()
+    np.testing.assert_allclose(trace.sums, germ, rtol=1e-13)
 
 
 @pytest.mark.parametrize("inner", [1, 2, 3, 7])

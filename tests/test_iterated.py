@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlyoung import nonlinear
 from nlyoung.fields import GridField, ProductField, RegularityError, SumField
 from nlyoung.iterated import (
     DiagonalField,
@@ -132,6 +133,21 @@ def _three_stride_stage_path(germ, a, b, n_points, fine_level):
     return p_fine, abs(d2)
 
 
+def _term_germ(terms, phi):
+    """sum_k (g_k(t) - g_k(s)) h_k(phi(s)) over the separable terms, added in
+    term order: the germ that node reuse forms."""
+
+    def germ(s, t):
+        x = phi(s)
+        out = None
+        for g, h in terms:
+            term = (g(t) - g(s)) * h(x)
+            out = term if out is None else out + term
+        return out
+
+    return germ
+
+
 def _stage_media():
     rng = np.random.RandomState(5)
     ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-1.5, 1.5, 17)
@@ -145,7 +161,7 @@ def _stage_media():
         "grid-diagonal": (DiagonalField(grid, density), _identity, False),
         "grid-spatial": (grid, carrier, False),
         "sum-diagonal": (DiagonalField(grid_and_wei, density), _identity, False),
-        "sampled-g-spatial": (ProductField(sample_function(wei, 0.0, 1.0, 300), np.sin), carrier, False),
+        "sampled-g-spatial": (ProductField(sample_function(wei, 0.0, 1.0, 300), np.sin), carrier, True),
         "sin-diagonal": (DiagonalField(ProductField(np.sin, np.exp), density), _identity, True),
         "sin-spatial": (ProductField(np.sin, np.exp), carrier, True),
         "plain-wei-diagonal": (DiagonalField(ProductField(wei.__call__, np.cos), density), _identity, True),
@@ -157,30 +173,45 @@ def _stage_media():
 def test_stage_path_matches_three_stride_oracle(name, n_points, fine_level):
     w, phi, reuses_nodes = _stage_media()[name]
     terms = w.separable_terms()
-    assert reuses_nodes == (terms is not None and len(terms) == 1 and not hasattr(terms[0][0], "diff"))
+    assert reuses_nodes == (terms is not None and 1 <= len(terms) <= nonlinear._REUSE_TERMS)
     path, err = _stage_path(w, phi, 0.2, 0.9, n_points, fine_level)
-    want, want_err = _three_stride_stage_path(Germ(w, phi), 0.2, 0.9, n_points, fine_level)
+    germ = _term_germ(terms, phi) if reuses_nodes else Germ(w, phi)
+    want, want_err = _three_stride_stage_path(germ, 0.2, 0.9, n_points, fine_level)
     np.testing.assert_array_equal(path.ts, np.linspace(0.2, 0.9, n_points))
     # the error estimate is |correction| at b, where the oracle takes
     # |extrapolated - finest|: the same up to one rounding of the path's value
     assert err == pytest.approx(want_err, rel=1e-12, abs=4 * np.finfo(float).eps * abs(want[-1]))
+    np.testing.assert_array_equal(path.values, want)
     if reuses_nodes:
-        # node reuse forms the germ as dg * (rho h), the oracle as rho * (dg h)
-        scale = float(np.max(np.abs(want)))
-        np.testing.assert_allclose(path.values, want, rtol=1e-13, atol=1e-13 * scale)
-    else:
-        np.testing.assert_array_equal(path.values, want)
+        # node reuse takes plain differences of a sampled g where the germ
+        # takes g.diff, and forms dg (rho h) where the germ forms rho (dg h)
+        germ_path, _ = _three_stride_stage_path(Germ(w, phi), 0.2, 0.9, n_points, fine_level)
+        scale = float(np.max(np.abs(germ_path)))
+        np.testing.assert_allclose(path.values, germ_path, rtol=1e-13, atol=1e-13 * scale)
 
 
 class _CountingG:
-    """A plain time factor that counts the points it is evaluated at."""
+    """A plain callable, sin by default, that counts the points it is
+    evaluated at."""
 
-    def __init__(self):
+    def __init__(self, f=np.sin):
+        self.f = f
         self.points = 0
 
     def __call__(self, t):
         self.points += np.size(t)
-        return np.sin(t)
+        return self.f(t)
+
+
+@pytest.mark.parametrize("name, points", [
+    ("grid-spatial", 2**10 + 2**11 + 2**12),  # the germ's left nodes at levels 10-12
+    ("sin-spatial", 2**12 + 1),  # every node of level 12 once
+])
+def test_stage_forms_only_its_three_levels(name, points):
+    w, carrier, _ = _stage_media()[name]
+    phi = _CountingG(carrier)
+    _stage_path(w, phi, 0.2, 0.9, 257, 12)
+    assert phi.points == points
 
 
 @pytest.mark.parametrize("variant", ["diagonal", "spatial"])

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -264,20 +263,35 @@ RAW_SEWING_PHI = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
 SEWING_PHI = _Counting(RAW_SEWING_PHI)
 
 
-def _one_shot_germ_levels(w, phi, a, b):
-    """Germ arrays of the dyadic levels with one germ call on every node of every level."""
+def _one_shot_germ_levels(w, phi, a, b, last, first=0):
+    """Germ arrays of the dyadic levels first..last with one germ call on
+    every node of every level."""
     germ = Germ(w, phi)
-    k = 0
-    while True:
+    for k in range(first, last + 1):
         ts = np.linspace(a, b, 2**k + 1)
         yield germ(ts[:-1], ts[1:])
-        k += 1
 
 
 def _naive_germ_sums(w, phi, a, b, levels):
-    """The sums of the first levels + 1 arrays of _one_shot_germ_levels."""
-    arrays = itertools.islice(_one_shot_germ_levels(w, phi, a, b), levels + 1)
-    return tuple(float(np.sum(level)) for level in arrays)
+    """The sums of the levels 0..levels of _one_shot_germ_levels."""
+    return tuple(float(np.sum(level)) for level in _one_shot_germ_levels(w, phi, a, b, levels))
+
+
+def _naive_term_sums(w, phi, a, b, levels):
+    """Level sums of sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)) over w's
+    separable terms, added in term order, with g_k, h_k and phi called once
+    on the nodes of each level: the germ that node reuse forms."""
+    sums = []
+    for k in range(levels + 1):
+        ts = np.linspace(a, b, 2**k + 1)
+        x = phi(ts[:-1])
+        level = None
+        for g, h in w.separable_terms():
+            gt = g(ts)
+            term = (gt[1:] - gt[:-1]) * h(x)
+            level = term if level is None else level + term
+        sums.append(float(np.sum(level)))
+    return tuple(sums)
 
 
 @pytest.mark.parametrize("name", sorted(SEWING_MEDIA))
@@ -288,14 +302,81 @@ def test_sewing_sums_bitwise_equal_naive_germ_sums(name, interval):
     a, b = interval
     rep, trace = integrate_sewing(w, SEWING_PHI, a, b, max_levels=12, tol=0.0)
     assert rep.levels_used == 12
-    if isinstance(w, DiagonalField):
-        # node reuse runs on the medium's term (g, rho*h), so its sums are
-        # the germ sums of that product, not of rho * (increment of F)
-        (g, h), = w.separable_terms()
-        assert trace.sums == _naive_germ_sums(ProductField(g, h), SEWING_PHI, a, b, 12)
+    if len(w.separable_terms()) <= nonlinear._REUSE_TERMS:
+        # node reuse sums the terms' germ: plain differences of a sampled g
+        # where the germ takes g.diff, dg (rho h) of a diagonal medium where
+        # the germ takes rho (dg h)
+        assert trace.sums == _naive_term_sums(w, SEWING_PHI, a, b, 12)
         assert trace.sums == pytest.approx(_naive_germ_sums(w, SEWING_PHI, a, b, 12), rel=1e-13)
     else:
         assert trace.sums == _naive_germ_sums(w, SEWING_PHI, a, b, 12)
+
+
+@pytest.mark.parametrize("name", ["grid", "sampled-g-product"])
+def test_sewing_levels_from_first_to_last(name):
+    w = SEWING_MEDIA[name]
+    whole = list(nonlinear.sewing_levels(w, SEWING_PHI, 0.13, 0.71, 9))
+    tail = list(nonlinear.sewing_levels(w, SEWING_PHI, 0.13, 0.71, 9, 7))
+    assert [level.size for level in whole] == [2**k for k in range(10)]
+    assert len(tail) == 3
+    for got, want in zip(tail, whole[7:]):
+        np.testing.assert_array_equal(got, want)
+    for last, first in [(3, -1), (3, 4), (0, 0)]:
+        with pytest.raises(ValueError, match="first"):
+            nonlinear.sewing_levels(w, SEWING_PHI, 0.13, 0.71, last, first)
+
+
+@pytest.mark.parametrize("max_levels", [2, 3, 12])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71)])
+@pytest.mark.parametrize("block", [None, 100])
+def test_one_term_sewing_sums_keep_their_bits(max_levels, interval, block, monkeypatch):
+    # the last level, formed from the carried nodes and the new midpoints
+    # without carrying its own, has the bits of the germ on its nodes; with
+    # 100 midpoints a block, level 12 takes 21 blocks, the last one short
+    if block:
+        monkeypatch.setattr(nonlinear, "_BLOCK_ENTRIES", block)
+    rep, trace = integrate_sewing(SEWING_MEDIA["weierstrass-product"], SEWING_PHI, *interval,
+                                  max_levels=max_levels, tol=0.0)
+    assert rep.levels_used == max_levels
+    assert trace.sums == _naive_germ_sums(SEWING_MEDIA["weierstrass-product"], SEWING_PHI, *interval, max_levels)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_grid_rank_picks_the_sewing_route(rank):
+    assert nonlinear._REUSE_TERMS == 4
+    rng = np.random.RandomState(rank)
+    ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-3.0, 3.0, 17)
+    w = GridField(ts, xs, rng.randn(ts.size, rank) @ rng.randn(rank, xs.size))
+    assert len(w.separable_terms()) == rank
+    phi = _Counting(_phased(rng, 0.7, 12))
+    rep, trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=12, tol=0.0)
+    if rank == 4:  # node reuse: phi sampled once per node
+        assert phi.points == 2**12 + 1
+        assert trace.sums == _naive_term_sums(w, phi, 0.13, 0.71, 12)
+        assert trace.sums == pytest.approx(_naive_germ_sums(w, phi, 0.13, 0.71, 12), rel=1e-13)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nonlinear, "_germ_levels", _one_shot_germ_levels)
+            want_rep, want_trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=12, tol=0.0)
+        assert trace == want_trace
+        assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
+
+
+@pytest.mark.parametrize("kind", ["sum", "diagonal"])
+@pytest.mark.parametrize("max_levels, tol", [(10, 0.0), (16, 1e-4)])
+def test_multi_term_sewing_evaluates_each_node_once(kind, max_levels, tol):
+    gs = [_Counting(make_weierstrass(0.6, 12)), _Counting(make_weierstrass(0.8, 10, phases=[0.5] * 10))]
+    hs = [_Counting(ident), _Counting(np.cos)]
+    phi = _Counting(np.sin)
+    w = SumField(ProductField(gs[0], hs[0]), ProductField(gs[1], hs[1]))
+    if kind == "diagonal":
+        w = DiagonalField(w, _Counting(np.exp))
+    rep, _ = integrate_sewing(w, phi, 0.0, 1.0, max_levels=max_levels, tol=tol)
+    assert rep.params["stop_reason"] == ("tol" if tol else "max_levels")
+    nodes = 2**rep.levels_used + 1
+    assert [f.points for f in (*gs, *hs, phi)] == [nodes] * 5
+    if kind == "diagonal":  # each term's h_k is rho * h, rho called once per term
+        assert w.density.points == 2 * nodes
 
 
 def _series_sum_bounds(g, h, phi, a, b, levels):
@@ -350,8 +431,8 @@ def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interv
 
 
 def test_sewing_holds_no_finished_level():
-    # the finest level of a 2^18 solve is 2 MB and its carried nodes 4 MB; a
-    # finished level held while the next one is built would add 1 MB more
+    # the finest level of a 2^18 solve is 2 MB and the nodes carried into it
+    # 2 MB; a finished level held while the next one is built would add 1 MB
     w = RAW_SEWING_MEDIA["weierstrass-product"]
     integrate_sewing(w, RAW_SEWING_PHI, 0.0, 1.0, max_levels=8)  # the series' own setup
     tracemalloc.start()
@@ -472,6 +553,19 @@ def test_seminorm_box_kept_inside_a_wide_grid_axis():
     box = nonlinear._phi_box(phi, 0.0, 1.0)
     assert nonlinear._seminorm_box(grid, box) == box
     assert estimate_norms(grid, phi, Regularity(0.7, 1.0, 0.6), 0.0, 1.0).box == box
+
+
+def test_two_term_grid_sewing_off_its_axes_raises():
+    # node reuse reads the grid's terms, which exist on its axes only
+    grid, phi = _margin_grid(-0.05)  # the x axis misses the path's extremes
+    assert len(grid.separable_terms()) == 2
+    lo, hi = grid.xs[0], grid.xs[-1]
+    with pytest.raises(ValueError, match=rf"outside domain \[{lo:g}, {hi:g}\]"):
+        integrate_sewing(grid, phi, 0.0, 1.0)
+    grid, _ = _margin_grid(0.1)
+    centre = float(grid.xs[16])
+    with pytest.raises(ValueError, match=r"outside domain \[0, 1\]"):  # the time axis
+        integrate_sewing(grid, lambda t: np.full(np.shape(t), centre), 0.0, 1.5)
 
 
 def test_cross_method_agreement(rough_case):

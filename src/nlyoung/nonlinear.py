@@ -23,8 +23,11 @@ satisfy tau + lam*gamma > 1, with the fractional order alpha in
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
 import time
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -298,10 +301,52 @@ def _germ_levels(w: Field, phi, a: float, b: float, last: int, first: int):
         yield level
 
 
+# The term route's arrays longer than a block (its carried nodes and its
+# levels) each get an anonymous mapping of their own, given back to the
+# system when the array is dropped.  glibc maps allocations over 128 KB that
+# way until it frees a larger mapped block, then serves every request below
+# that block's size from its heap.  There a sewing solve left a few MB of
+# free heap above its blocks' temporaries, and the small allocations that
+# happened to land in it decided where the process's next large arrays went,
+# so its peak RSS moved with the allocator's history: the benchmark's
+# wei-sewing peak_rss_mb spread by 3.2 MB between the quartiles of ten runs
+# (2-core x86-64 host, glibc 2.36).  With the mappings a solve leaves the
+# heap as it found it, and ten runs spread by 0.12 MB.
+_MAP_FLAGS = (
+    getattr(mmap, "MAP_PRIVATE", 0)
+    | getattr(mmap, "MAP_ANONYMOUS", 0)
+    # faulted in by one call: 0.6 ms per 2 MB on that host, 1.5 ms page by page
+    | getattr(mmap, "MAP_POPULATE", 0)
+)
+# numpy's tracemalloc domain for array data: the mapped arrays are reported
+# there while tracemalloc traces, like the arrays numpy allocates itself
+# (PyTraceMalloc_Track returns 0 only then)
+_NUMPY_TRACE_DOMAIN = 389047
+_trace_track = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
+    ("PyTraceMalloc_Track", ctypes.pythonapi)
+)
+_trace_untrack = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
+    ("PyTraceMalloc_Untrack", ctypes.pythonapi)
+)
+
+
+def _mapped_empty(n: int) -> np.ndarray:
+    """np.empty(n), in an anonymous mapping of its own if n exceeds
+    _BLOCK_ENTRIES and the system has them."""
+    if n <= _BLOCK_ENTRIES or not _MAP_FLAGS:
+        return np.empty(n)
+    buf = mmap.mmap(-1, 8 * n, flags=_MAP_FLAGS)
+    out = np.frombuffer(buf, dtype=float)
+    if _trace_track(_NUMPY_TRACE_DOMAIN, out.ctypes.data, 8 * n) == 0:
+        weakref.finalize(buf, _trace_untrack, _NUMPY_TRACE_DOMAIN, out.ctypes.data)
+    return out
+
+
 def _term_level(gv, hv) -> np.ndarray:
     """sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)) from the values g_k(t_i)
     and h_k(phi(t_i)) at the nodes, added in term order."""
-    level = (gv[0][1:] - gv[0][:-1]) * hv[0][:-1]
+    level = np.subtract(gv[0][1:], gv[0][:-1], out=_mapped_empty(gv[0].size - 1))
+    level *= hv[0][:-1]
     for g, h in zip(gv[1:], hv[1:]):
         level += (g[1:] - g[:-1]) * h[:-1]
     return level
@@ -314,8 +359,8 @@ def _refine_nodes(terms, phi, gv, hv, a: float, b: float, k: int) -> None:
     mid = np.arange(1, 2**k, 2) * step + a
     x = sample_uniform(phi, mid, 2.0 * step)
     for r, (g, h) in enumerate(terms):
-        gv[r] = _interleave(gv[r], sample_uniform(g, mid, 2.0 * step))
-        hv[r] = _interleave(hv[r], h(x))
+        gv[r] = _interleave(gv[r], sample_uniform(g, mid, 2.0 * step), _mapped_empty(2**k + 1))
+        hv[r] = _interleave(hv[r], h(x), _mapped_empty(2**k + 1))
 
 
 def _last_level(terms, phi, gv, hv, a: float, b: float, last: int) -> np.ndarray:
@@ -327,7 +372,7 @@ def _last_level(terms, phi, gv, hv, a: float, b: float, last: int) -> np.ndarray
     are taken in blocks of _BLOCK_ENTRIES // r for r terms.
     """
     step = (b - a) / 2**last
-    level = np.empty(2**last)
+    level = _mapped_empty(2**last)
     even, odd = level[0::2], level[1::2]
     size = _BLOCK_ENTRIES // len(terms)
     for i in range(0, even.size, size):

@@ -430,6 +430,22 @@ def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interv
     assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
 
 
+def test_mapped_level_arrays_are_traced_until_dropped():
+    # the term route's arrays beyond a block live in mappings of their own;
+    # tracemalloc must still count them, or the memory guards go blind
+    n = 4 * nonlinear._BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        level = nonlinear._mapped_empty(n)
+        level[:] = 1.0
+        held = tracemalloc.get_traced_memory()[0]
+        del level
+        released = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert released >= 8 * n
+
+
 def test_sewing_holds_no_finished_level():
     # the finest level of a 2^18 solve is 2 MB and the nodes carried into it
     # 2 MB; a finished level held while the next one is built would add 1 MB

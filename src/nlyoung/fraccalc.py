@@ -284,11 +284,10 @@ def _sample_rows(fns, ts: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def _interleave(coarse: np.ndarray, odd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _interleave(coarse: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Values at the nodes of the next dyadic grid (last axis) from those at
-    the coarse nodes and at the new odd nodes, written into `out` if given."""
-    if out is None:
-        out = np.empty((*coarse.shape[:-1], coarse.shape[-1] + odd.shape[-1]))
+    the coarse nodes and at the new odd nodes."""
+    out = np.empty((*coarse.shape[:-1], coarse.shape[-1] + odd.shape[-1]))
     out[..., ::2] = coarse
     out[..., 1::2] = odd
     return out

@@ -180,7 +180,9 @@ def _stage_path(w: Field, phi, a: float, b: float, n_points: int, fine_level: in
     The three finest levels, up to max(fine_level, log2(n_points - 1) + 2),
     are summed cumulatively, read at the output nodes and extrapolated node
     by node by quadrature.richardson at the order fitted at the endpoint.
-    Returns (SampledPath, endpoint error estimate).
+    A medium sewn from its terms forms all three from one sweep over the
+    finest level's nodes, so they are held whole at once.  Returns
+    (SampledPath, endpoint error estimate).
     """
     m_out = n_points - 1
     if m_out < 1 or m_out & (m_out - 1):

@@ -23,11 +23,8 @@ satisfy tau + lam*gamma > 1, with the fractional order alpha in
 
 from __future__ import annotations
 
-import ctypes
 import math
-import mmap
 import time
-import weakref
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -40,7 +37,7 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
-from .fraccalc import _interleave, _require_interval, dl_dr_sampled, grid_rows, odd_rows
+from .fraccalc import _MIN_START_CELLS, _require_interval, dl_dr_sampled, grid_rows, odd_rows
 from .paths import (
     _BLOCK_ENTRIES,
     HolderReport,
@@ -278,145 +275,124 @@ class SewingTrace:
 _GERM_BLOCK = _BLOCK_ENTRIES // 4
 # most separable terms a medium may have to sew from its terms.  The germ
 # route's cost does not depend on the rank and the term route's grows with
-# it: on 257 x 65 random grids at 2^18 intervals (minima of 15 interleaved
-# solves), rank 4 took 27.6 ms on the terms against 31.7 ms by germ calls,
-# rank 5 35.3 against 30.3 ms.
-_REUSE_TERMS = 4
+# it: on 257 x 65 random grids at 2^18 intervals (minima of 20 interleaved
+# solves), rank 5 took 28.4 ms on the terms against 33.1 ms by germ calls,
+# rank 6 34.6 against 33.7 ms.
+_REUSE_TERMS = 5
+# finest level of a sewing solve's first sweep: 2^12 intervals, the
+# fractional ladder's floor
+_FIRST_SWEEP = _MIN_START_CELLS.bit_length() - 1
+
+
+def _tree_sum(parts) -> float:
+    """The sum of a level from the sums of its 2^m aligned parts, neighbours
+    first.  numpy adds a 2^k array as the sum of its halves, down to leaves
+    of 128 entries, so with parts of at least 128 entries this is np.sum of
+    the whole level bit for bit."""
+    p = np.asarray(parts, dtype=float)
+    while p.size > 1:
+        p = p[0::2] + p[1::2]
+    return float(p[0])
 
 
 def _germ_levels(w: Field, phi, a: float, b: float, last: int, first: int):
-    """Germ arrays of the dyadic partitions of [a, b] at levels first..last.
-
-    Entry i of level k is mu(t_i, t_(i+1)) on the nodes
-    np.linspace(a, b, 2^k + 1).  The germ is called on blocks of _GERM_BLOCK
-    intervals, each written into the level's array.
-    """
+    """Germ arrays of the dyadic partitions of [a, b] at levels first..last,
+    in order, each level in consecutive blocks of at most _GERM_BLOCK
+    intervals: entry i of level k is mu(t_i, t_(i+1)) on the nodes
+    np.linspace(a, b, 2^k + 1)."""
     germ = Germ(w, phi)
     for k in range(first, last + 1):
         ts = np.linspace(a, b, 2**k + 1)
-        level = np.empty(2**k)
-        for i in range(0, level.size, _GERM_BLOCK):
-            j = min(i + _GERM_BLOCK, level.size)
-            level[i:j] = germ(ts[i:j], ts[i + 1:j + 1])
-        yield level
+        s, t = ts[:-1], ts[1:]
+        for i in range(0, s.size, _GERM_BLOCK):
+            yield germ(s[i:i + _GERM_BLOCK], t[i:i + _GERM_BLOCK])
 
 
-# The term route's arrays longer than a block (its carried nodes and its
-# levels) each get an anonymous mapping of their own, given back to the
-# system when the array is dropped.  glibc maps allocations over 128 KB that
-# way until it frees a larger mapped block, then serves every request below
-# that block's size from its heap.  There a sewing solve left a few MB of
-# free heap above its blocks' temporaries, and the small allocations that
-# happened to land in it decided where the process's next large arrays went,
-# so its peak RSS moved with the allocator's history: the benchmark's
-# wei-sewing peak_rss_mb spread by 3.2 MB between the quartiles of ten runs
-# (2-core x86-64 host, glibc 2.36).  With the mappings a solve leaves the
-# heap as it found it, and ten runs spread by 0.12 MB.
-_MAP_FLAGS = (
-    getattr(mmap, "MAP_PRIVATE", 0)
-    | getattr(mmap, "MAP_ANONYMOUS", 0)
-    # faulted in by one call: 0.6 ms per 2 MB on that host, 1.5 ms page by page
-    | getattr(mmap, "MAP_POPULATE", 0)
-)
-# numpy's tracemalloc domain for array data: the mapped arrays are reported
-# there while tracemalloc traces, like the arrays numpy allocates itself
-# (PyTraceMalloc_Track returns 0 only then)
-_NUMPY_TRACE_DOMAIN = 389047
-_trace_track = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
-    ("PyTraceMalloc_Track", ctypes.pythonapi)
-)
-_trace_untrack = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
-    ("PyTraceMalloc_Untrack", ctypes.pythonapi)
-)
+def _by_level(blocks, first: int, last: int, take):
+    """take(block) for the blocks of _germ_levels, a list per level."""
+    for k in range(first, last + 1):
+        parts, size = [], 0
+        while size < 2**k:
+            block = next(blocks)
+            size += block.size
+            parts.append(take(block))
+        yield parts
 
 
-def _mapped_empty(n: int) -> np.ndarray:
-    """np.empty(n), in an anonymous mapping of its own if n exceeds
-    _BLOCK_ENTRIES and the system has them."""
-    if n <= _BLOCK_ENTRIES or not _MAP_FLAGS:
-        return np.empty(n)
-    buf = mmap.mmap(-1, 8 * n, flags=_MAP_FLAGS)
-    out = np.frombuffer(buf, dtype=float)
-    if _trace_track(_NUMPY_TRACE_DOMAIN, out.ctypes.data, 8 * n) == 0:
-        weakref.finalize(buf, _trace_untrack, _NUMPY_TRACE_DOMAIN, out.ctypes.data)
+def _term_entries(rows, s: int) -> np.ndarray:
+    """sum_k (g_k(t_(i+s)) - g_k(t_i)) h_k(phi(t_i)) at stride s of a piece's
+    nodes, from its rows g_1, h_1(phi), g_2, h_2(phi), ..., in term order."""
+    out = np.subtract(rows[0][s::s], rows[0][:-s:s])
+    out *= rows[1][:-s:s]
+    for g, h in zip(rows[2::2], rows[3::2]):
+        out += (g[s::s] - g[:-s:s]) * h[:-s:s]
     return out
 
 
-def _term_level(gv, hv) -> np.ndarray:
-    """sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)) from the values g_k(t_i)
-    and h_k(phi(t_i)) at the nodes, added in term order."""
-    level = np.subtract(gv[0][1:], gv[0][:-1], out=_mapped_empty(gv[0].size - 1))
-    level *= hv[0][:-1]
-    for g, h in zip(gv[1:], hv[1:]):
-        level += (g[1:] - g[:-1]) * h[:-1]
-    return level
-
-
-def _refine_nodes(terms, phi, gv, hv, a: float, b: float, k: int) -> None:
-    """Replace the values at the nodes of level k - 1 in gv and hv by those
-    at the nodes of level k, sampling the terms at the new midpoints only."""
-    step = (b - a) / 2**k
-    mid = np.arange(1, 2**k, 2) * step + a
-    x = sample_uniform(phi, mid, 2.0 * step)
-    for r, (g, h) in enumerate(terms):
-        gv[r] = _interleave(gv[r], sample_uniform(g, mid, 2.0 * step), _mapped_empty(2**k + 1))
-        hv[r] = _interleave(hv[r], h(x), _mapped_empty(2**k + 1))
-
-
-def _last_level(terms, phi, gv, hv, a: float, b: float, last: int) -> np.ndarray:
-    """_term_level at level last from the values at the nodes of level
-    last - 1 and the new midpoints, without the values at its own nodes.
-
-    Its even and odd entries are (m_i - g_i) h_i and (g_(i+1) - m_i) hm_i
-    per term, with m_i and hm_i the term's values at the midpoints, which
-    are taken in blocks of _BLOCK_ENTRIES // r for r terms.
-    """
-    step = (b - a) / 2**last
-    level = _mapped_empty(2**last)
-    even, odd = level[0::2], level[1::2]
-    size = _BLOCK_ENTRIES // len(terms)
-    for i in range(0, even.size, size):
-        j = min(i + size, even.size)
-        mid = np.arange(2 * i + 1, 2 * j, 2) * step + a
-        x = sample_uniform(phi, mid, 2.0 * step)
-        for r, (g, h) in enumerate(terms):
-            m = sample_uniform(g, mid, 2.0 * step)
-            lo = (m - gv[r][i:j]) * hv[r][i:j]
-            hi = (gv[r][i + 1:j + 1] - m) * h(x)
-            if r:
-                even[i:j] += lo
-                odd[i:j] += hi
-            else:
-                even[i:j], odd[i:j] = lo, hi
-    return level
-
-
-def _separable_levels(terms, phi, a: float, b: float, last: int, first: int):
+def _term_levels(terms, phi, a: float, b: float, last: int, first: int, take) -> list:
     """The levels first..last for W = sum_k g_k(t) h_k(x), from the terms:
     entry i is sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)), in term order.
+    A list per level of take(entries) for each of its parts, in order.
 
-    Each partition is the previous one plus its midpoints, so every g_k and
-    h_k(phi) is carried at the nodes of the levels below last and evaluated
-    only at the new midpoints, phi once for all the terms; the last level
-    comes from the carried nodes and its own midpoints (_last_level).  No
-    level below first is formed.  g_k and phi are sampled through
-    paths.sample_uniform, h_k on phi's values.  The midpoints are bitwise
-    the odd nodes of np.linspace(a, b, n + 1) and the even ones bitwise the
-    coarser level's nodes, so for g_k and phi without `on_grid` each entry
-    is the term sum on those nodes bit for bit.  A Weierstrass g_k or phi is
-    sampled by its on_grid, which meets the series' accuracy contract
-    instead of matching its calls bit for bit.
+    One sweep samples the nodes of level last in pieces of min(2^last, P)
+    intervals, P the largest power of two within _BLOCK_ENTRIES: each g_k
+    and phi once per piece through paths.sample_uniform (one on_grid call
+    for a series), each h_k once on phi's values, the piece's left node
+    carried from the piece before.  Piece j's nodes are (i + j piece)
+    step + a, the last one b: bitwise the nodes of np.linspace(a, b,
+    2^k + 1) at every level k, since step = (b - a) / 2^last is
+    (b - a) / 2^k scaled by a power of two.  A level's entries in a piece
+    are the differences of its nodes at stride 2^(last - k).  With one
+    piece, or at least 128 entries a piece, a level takes a part per piece,
+    so _tree_sum of their np.sum is np.sum of the level; the coarser ones
+    are formed whole, after the sweep, from the nodes of the level of 128
+    entries a piece (or of level last) gathered from every piece.  So for
+    g_k, h_k and phi without `on_grid` each entry is the term sum on the
+    level's nodes bit for bit.  A Weierstrass g_k or phi is sampled by its
+    on_grid, which meets the series' accuracy contract instead of matching
+    its calls bit for bit.
     """
-    ts = np.linspace(a, b, 2)
-    x = sample_uniform(phi, ts, b - a)
-    gv = [sample_uniform(g, ts, b - a) for g, _ in terms]
-    hv = [np.asarray(h(x), dtype=float) for _, h in terms]
-    for k in range(last):
-        if k:
-            _refine_nodes(terms, phi, gv, hv, a, b, k)
-        if k >= first:
-            yield _term_level(gv, hv)
-    yield _last_level(terms, phi, gv, hv, a, b, last)
+    n = 2**last
+    piece = min(n, 1 << (_BLOCK_ENTRIES.bit_length() - 1))
+    pieces = n // piece
+    split = pieces.bit_length() + 6 if pieces > 1 else 0  # levels from split on go by piece
+    coarse = min(split, last)
+    stride = 2 ** (last - coarse)
+    step = (b - a) / n
+    rows = [np.empty(piece + 1) for _ in range(2 * len(terms))]
+    nodes = [np.empty(2**coarse + 1) for _ in rows] if first < split else []
+    parts = [[] for _ in range(first, last + 1)]
+    for j in range(pieces):
+        new = 1 if j else 0
+        ts = np.arange(j * piece + new, (j + 1) * piece + 1, dtype=float)
+        ts *= step
+        ts += a
+        if j == pieces - 1:
+            ts[-1] = b
+        x = sample_uniform(phi, ts, step)
+        for r, (g, h) in enumerate(terms):
+            for row, v in ((rows[2 * r], sample_uniform(g, ts, step)), (rows[2 * r + 1], h(x))):
+                if new:
+                    row[0] = row[-1]
+                row[new:] = v
+        for k in range(max(first, split), last + 1):
+            parts[k - first].append(take(_term_entries(rows, 2 ** (last - k))))
+        m = piece // stride
+        for gathered, row in zip(nodes, rows):
+            gathered[j * m:(j + 1) * m + 1] = row[::stride]
+    for k in range(first, min(split, last + 1)):
+        parts[k - first].append(take(_term_entries(nodes, 2 ** (coarse - k))))
+    return parts
+
+
+def _level_parts(w: Field, phi, a: float, b: float, last: int, first: int, take):
+    """take(part) for the consecutive parts of each level first..last, a
+    list per level: from the terms (_term_levels) for one to _REUSE_TERMS
+    separable terms, else from blocked germ calls (_germ_levels)."""
+    terms = w.separable_terms()
+    if terms and len(terms) <= _REUSE_TERMS:
+        return _term_levels(terms, phi, float(a), float(b), last, first, take)
+    return _by_level(_germ_levels(w, phi, a, b, last, first), first, last, take)
 
 
 def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
@@ -424,19 +400,28 @@ def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
     of [a, b] with 2^k intervals, one array per level k = first..last.
 
     Media with one to _REUSE_TERMS separable terms sum the germ of their
-    terms, sum_k (g_k(t) - g_k(s)) h_k(phi_s), from the nodes of the coarser
-    partitions (_separable_levels): through level L, every g_k, h_k and phi
-    is evaluated at 2^L + 1 points in all, and the last level is formed
-    without carrying its nodes.  Media with more terms, or with none, call
-    the germ on all 2^k + 1 nodes of each level from first on.  Needs
-    0 <= first <= last and last >= 1.
+    terms, sum_k (g_k(t) - g_k(s)) h_k(phi_s), from one sweep over the
+    nodes of level last (_term_levels): every g_k, h_k and phi is evaluated
+    at 2^last + 1 points in all, when sewing_levels is called.  Media with
+    more terms, or with none, call the germ on all 2^k + 1 nodes of each
+    level, in blocks, as the levels are read.  Needs 0 <= first <= last and
+    last >= 1.
     """
     if not 0 <= first <= last or last < 1:
         raise ValueError(f"need 0 <= first <= last and last >= 1, got first={first}, last={last}")
-    terms = w.separable_terms()
-    if terms and len(terms) <= _REUSE_TERMS:
-        return _separable_levels(terms, phi, float(a), float(b), last, first)
-    return _germ_levels(w, phi, a, b, last, first)
+    return map(np.concatenate, _level_parts(w, phi, a, b, last, first, lambda e: e))
+
+
+def _level_sums(w: Field, phi, a: float, b: float, last: int):
+    """The sums of the levels 0..last of sewing_levels(w, phi, a, b, last),
+    each from its parts' np.sum by _tree_sum, so no level is held whole.
+    Levels 0..min(last, _FIRST_SWEEP) come first; the finer ones only when
+    read, from a second sweep."""
+    cut = min(last, _FIRST_SWEEP)
+    for first, finest in ((0, cut), (cut + 1, last)):
+        if first <= finest:
+            for parts in _level_parts(w, phi, a, b, finest, first, np.sum):
+                yield _tree_sum(parts)
 
 
 def integrate_sewing(
@@ -453,18 +438,26 @@ def integrate_sewing(
     max_levels), refined until successive sums differ by less than tol, from
     level 4 on, or max_levels is hit; params["stop_reason"] says which.
     max_levels must be at least 2, so that quadrature.richardson has three
-    sums to extrapolate at their fitted order.  A value or error estimate that is not finite is reported with
-    converged=False.
+    sums to extrapolate at their fitted order.  A value or error estimate
+    that is not finite is reported with converged=False.
+
+    Each level is summed piece by piece (_level_sums), so none is held
+    whole.  A medium sewn from its terms forms its levels in two sweeps,
+    0..12 and 13..max_levels, each sampling all of its finest nodes; the
+    second runs only if the tol rule has not fired by level 12.  So a
+    solve that stops at level 12 or below has paid for level
+    min(max_levels, 12), and one that stops above it for level max_levels.
+    The germ route forms each level only when its sum is read.
     """
     _require_interval(a, b)
     if max_levels < 2:
         raise ValueError(f"need max_levels >= 2, got {max_levels}")
     t0 = time.perf_counter()
-    levels = sewing_levels(w, phi, a, b, max_levels)
+    levels = _level_sums(w, phi, a, b, max_levels)
     sums: list[float] = []
     stop_reason = "max_levels"
     for k in range(max_levels + 1):
-        sums.append(float(np.sum(next(levels))))  # no level is held while the next is built
+        sums.append(next(levels))
         if k >= 4 and abs(sums[-1] - sums[-2]) < tol:
             stop_reason = "tol"
             break

@@ -495,13 +495,6 @@ def _axis_nodes(lo: float, hi: float) -> np.ndarray:
     return np.concatenate([np.linspace(lo, hi, _N_COARSE + 1), np.linspace(lo, hi, _N_FINE + 1)])
 
 
-def _axis_pairs(lo: float, hi: float):
-    """Deterministic probe pairs on [lo, hi]: all coarse pairs + fine small lags."""
-    nodes = _axis_nodes(lo, hi)
-    first, second = _pair_indices()
-    return nodes[first], nodes[second]
-
-
 def _probe_term(f, nodes: np.ndarray, scale: np.ndarray):
     """f at the coarse nodes, and f's pair increments divided by scale.
 

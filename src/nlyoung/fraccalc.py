@@ -274,7 +274,10 @@ def odd_rows(fns, a: float, b: float, n: int) -> np.ndarray:
     """fns at the n/2 odd nodes of np.linspace(a, b, n + 1), bitwise those
     nodes: a + i (b - a)/n for odd i, a uniform grid of step 2 (b - a)/n."""
     step = (b - a) / n
-    return _sample_rows(fns, np.arange(1, n, 2) * step + a, 2.0 * step)
+    ts = np.arange(1.0, n, 2.0)
+    ts *= step
+    ts += a
+    return _sample_rows(fns, ts, 2.0 * step)
 
 
 def _sample_rows(fns, ts: np.ndarray, step: float) -> np.ndarray:

@@ -44,7 +44,6 @@ from .paths import (
     SampledPath,
     holder_seminorm_path,
     sample_function,
-    sample_uniform,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -335,22 +334,25 @@ def _term_levels(terms, phi, a: float, b: float, last: int, first: int, take) ->
     A list per level of take(entries) for each of its parts, in order.
 
     One sweep samples the nodes of level last in pieces of min(2^last, P)
-    intervals, P the largest power of two within _BLOCK_ENTRIES: each g_k
-    and phi once per piece through paths.sample_uniform (one on_grid call
-    for a series), each h_k once on phi's values, the piece's left node
-    carried from the piece before.  Piece j's nodes are (i + j piece)
-    step + a, the last one b: bitwise the nodes of np.linspace(a, b,
-    2^k + 1) at every level k, since step = (b - a) / 2^last is
-    (b - a) / 2^k scaled by a power of two.  A level's entries in a piece
-    are the differences of its nodes at stride 2^(last - k).  With one
-    piece, or at least 128 entries a piece, a level takes a part per piece,
-    so _tree_sum of their np.sum is np.sum of the level; the coarser ones
-    are formed whole, after the sweep, from the nodes of the level of 128
-    entries a piece (or of level last) gathered from every piece.  So for
-    g_k, h_k and phi without `on_grid` each entry is the term sum on the
-    level's nodes bit for bit.  A Weierstrass g_k or phi is sampled by its
-    on_grid, which meets the series' accuracy contract instead of matching
-    its calls bit for bit.
+    intervals, P the largest power of two within _BLOCK_ENTRIES, each node
+    of each g_k and phi once, each h_k once on phi's values, the piece's
+    left node carried from the piece before.  A series (a g_k or phi with
+    grid_factors) is factored once per sweep over all 2^last + 1 nodes,
+    in rows of m nodes, m = 2^ceil(last / 2) ~ sqrt(2^last) but at most
+    the piece, so that m divides it; each piece is then one product of
+    its piece / m + 1 factor rows, written straight into its buffer.  Any
+    other g_k or phi is called on the piece's nodes (i + j piece) step + a,
+    the last one b: bitwise the nodes of np.linspace(a, b, 2^k + 1) at
+    every level k, since step = (b - a) / 2^last is (b - a) / 2^k scaled by
+    a power of two.  A level's entries in a piece are the differences of
+    its nodes at stride 2^(last - k).  With one piece, or at least 128
+    entries a piece, a level takes a part per piece, so _tree_sum of their
+    np.sum is np.sum of the level; the coarser ones are formed whole, after
+    the sweep, from the nodes of the level of 128 entries a piece (or of
+    level last) gathered from every piece.  So for g_k, h_k and phi
+    without grid_factors each entry is the term sum on the level's nodes
+    bit for bit; a series' samples meet its accuracy contract instead of
+    matching its calls bit for bit.
     """
     n = 2**last
     piece = min(n, 1 << (_BLOCK_ENTRIES.bit_length() - 1))
@@ -359,27 +361,51 @@ def _term_levels(terms, phi, a: float, b: float, last: int, first: int, take) ->
     coarse = min(split, last)
     stride = 2 ** (last - coarse)
     step = (b - a) / n
-    rows = [np.empty(piece + 1) for _ in range(2 * len(terms))]
+    m = min(piece, 1 << ((last + 1) // 2))
+    per = piece // m
+    fns = [phi, *(g for g, _ in terms)]
+    factors = [f.grid_factors(a, step, n + 1, m) if hasattr(f, "grid_factors") else None for f in fns]
+    # a series' buffer takes its piece's per + 1 factor rows whole, m - 1
+    # nodes past the piece; a plain phi's values are read where they are made
+    bufs = [np.empty(piece + m) if fac else np.empty(piece + 1) for fac in factors]
+    if factors[0] is None:
+        bufs[0] = None
+    rows = []
+    for buf in bufs[1:]:
+        rows += [buf[:piece + 1], np.empty(piece + 1)]
     nodes = [np.empty(2**coarse + 1) for _ in rows] if first < split else []
     parts = [[] for _ in range(first, last + 1)]
+    calls = any(fac is None for fac in factors)  # some g_k or phi is called on the nodes
     for j in range(pieces):
         new = 1 if j else 0
-        ts = np.arange(j * piece + new, (j + 1) * piece + 1, dtype=float)
-        ts *= step
-        ts += a
-        if j == pieces - 1:
-            ts[-1] = b
-        x = sample_uniform(phi, ts, step)
-        for r, (g, h) in enumerate(terms):
-            for row, v in ((rows[2 * r], sample_uniform(g, ts, step)), (rows[2 * r + 1], h(x))):
-                if new:
-                    row[0] = row[-1]
-                row[new:] = v
+        if calls:
+            ts = np.arange(j * piece + new, (j + 1) * piece + 1, dtype=float)
+            ts *= step
+            ts += a
+            if j == pieces - 1:
+                ts[-1] = b
+        for f, fac, buf in zip(fns, factors, bufs):
+            if buf is None:
+                x = np.asarray(f(ts), dtype=float)
+                continue
+            carried = buf[piece]
+            if fac:
+                np.matmul(fac[0][j * per:(j + 1) * per + 1], fac[1], out=buf.reshape(-1, m))
+            else:
+                buf[new:piece + 1] = f(ts)
+            if new:
+                buf[0] = carried
+        if bufs[0] is not None:
+            x = bufs[0][new:piece + 1]
+        for row, (_, h) in zip(rows[1::2], terms):
+            if new:
+                row[0] = row[-1]
+            row[new:] = h(x)
         for k in range(max(first, split), last + 1):
             parts[k - first].append(take(_term_entries(rows, 2 ** (last - k))))
-        m = piece // stride
+        width = piece // stride
         for gathered, row in zip(nodes, rows):
-            gathered[j * m:(j + 1) * m + 1] = row[::stride]
+            gathered[j * width:(j + 1) * width + 1] = row[::stride]
     for k in range(first, min(split, last + 1)):
         parts[k - first].append(take(_term_entries(nodes, 2 ** (coarse - k))))
     return parts
@@ -402,7 +428,9 @@ def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
     Media with one to _REUSE_TERMS separable terms sum the germ of their
     terms, sum_k (g_k(t) - g_k(s)) h_k(phi_s), from one sweep over the
     nodes of level last (_term_levels): every g_k, h_k and phi is evaluated
-    at 2^last + 1 points in all, when sewing_levels is called.  Media with
+    at 2^last + 1 points in all, when sewing_levels is called, a
+    Weierstrass g_k or phi by one grid factorization over those points and
+    a product of its rows per piece.  Media with
     more terms, or with none, call the germ on all 2^k + 1 nodes of each
     level, in blocks, as the levels are read.  Needs 0 <= first <= last and
     last >= 1.
@@ -443,7 +471,8 @@ def integrate_sewing(
 
     Each level is summed piece by piece (_level_sums), so none is held
     whole.  A medium sewn from its terms forms its levels in two sweeps,
-    0..12 and 13..max_levels, each sampling all of its finest nodes; the
+    0..12 and 13..max_levels, each sampling all of its finest nodes (a
+    Weierstrass g_k or phi from one grid factorization per sweep); the
     second runs only if the tol rule has not fired by level 12.  So a
     solve that stops at level 12 or below has paid for level
     min(max_levels, 12), and one that stops above it for level max_levels.

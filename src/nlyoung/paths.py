@@ -31,8 +31,8 @@ PathLike = Callable[[np.ndarray], np.ndarray]
 # than mapping (and faulting in) fresh pages for every block.  The path
 # seminorm takes blocks of lags of this many pairs, the field seminorm's probe
 # products row blocks of this many entries, the sewing germ a quarter of it,
-# the last sewing level of r separable terms 1/r of it in midpoints and a
-# base-2 series call an eighth (it keeps four buffers of its block).
+# the sewing sweep pieces of the largest power of two within it and a base-2
+# series call a quarter (it keeps four buffers of its block).
 _BLOCK_ENTRIES = 1 << 15
 # most scales a base-2 series takes by angle doubling (WeierstrassFunction):
 # its modulus error at scale k, about 2^k eps, stays below 1/2 up to scale 51
@@ -147,7 +147,10 @@ class WeierstrassFunction:
     Identical constructor arguments give bitwise-identical values.
 
     Two evaluators: calling the function evaluates at arbitrary points;
-    `on_grid` samples a uniform grid by one factored matrix product.  Both
+    a uniform grid is sampled from one factorization (`grid_factors`), a
+    matrix product of a factor per row of m nodes and a factor per column.
+    `on_grid` multiplies it whole; the sewing sweep builds one over all of
+    its nodes and multiplies a piece's rows at a time.  Both evaluators
     meet the same accuracy contract: at the points t, the error is at most a
     small multiple of eps * sum_k A_k (1 + F_k max|t| + |p_k|), with the
     amplitudes A_k = base^(-k H), frequencies F_k = base^k and phases p_k.
@@ -225,11 +228,11 @@ class WeierstrassFunction:
     def _doubling(self, x: np.ndarray) -> np.ndarray:
         """The base-2 series at the flat array x by angle doubling (class doc).
 
-        Blocks of _BLOCK_ENTRIES // 8 points share four buffers.  Only real
+        Blocks of _BLOCK_ENTRIES // 4 points share four buffers.  Only real
         ufuncs touch a point's numbers, so its value is the same in any array.
         """
         out = np.empty_like(x)
-        size = _BLOCK_ENTRIES // 8
+        size = _BLOCK_ENTRIES // 4
         bufs = [np.empty(min(size, x.size)) for _ in range(4)]
         for lo in range(0, x.size, size):
             block = x[lo:lo + size]
@@ -257,22 +260,29 @@ class WeierstrassFunction:
             acc += self._cos_amps_sum
         return out
 
-    def on_grid(self, start: float, step: float, count: int) -> np.ndarray:
-        """f(start + i * step) for i = 0..count-1.
+    def grid_factors(self, start: float, step: float, count: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) with f(start + i * step) = (left @ right)[q, r] for
+        i = q m + r < count, 0 <= r < m.
 
-        With i = q m + r, 0 <= r < m ~ sqrt(count), each term is
-        A_k cos(F_k (start + q m step) + p_k + F_k r step), the real part of a
-        product of a factor in q and a factor in r.  So the sum over scales is
-        one real (Q x 2K) @ (2K x m) product: 2K (Q + m) trig calls for the K
-        scales in place of K * count, for any base and phases.
+        Each term is A_k cos(F_k (start + q m step) + p_k + F_k r step), the
+        real part of a product of a factor in q and a factor in r.  So the sum
+        over scales is one real (Q x 2K) @ (2K x m) product, Q = ceil(count /
+        m): 2K (Q + m) trig calls for the K scales in place of K * count, for
+        any base and phases.  A slice of left's rows gives those rows alone.
         """
-        m = math.isqrt(count - 1) + 1
         rows = -(-count // m)
         outer = np.multiply.outer(start + (np.arange(rows) * m) * step, self._freqs)
         outer += self.phases
         inner = np.multiply.outer(self._freqs, np.arange(m) * step)
         left = np.concatenate([np.cos(outer) * self._amps, np.sin(outer) * -self._amps], axis=1)
         right = np.concatenate([np.cos(inner), np.sin(inner)])
+        return left, right
+
+    def on_grid(self, start: float, step: float, count: int) -> np.ndarray:
+        """f(start + i * step) for i = 0..count-1: the whole product of
+        grid_factors at m = isqrt(count - 1) + 1, about sqrt(count), where
+        Q + m is least."""
+        left, right = self.grid_factors(start, step, count, math.isqrt(count - 1) + 1)
         return (left @ right).ravel()[:count]
 
     @property

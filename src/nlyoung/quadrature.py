@@ -141,7 +141,9 @@ def hat_weights(p: float, n: int, start: int = 0) -> tuple[np.ndarray, np.ndarra
     far = _FAR_TERMS // 2
     series = np.empty((2, m.size))
     series[:, :near], series[:, near:] = coef[:, -1:], coef[:, far - 1 : far]
-    for i in range(coef.shape[1] - 2, -1, -1):  # Horner in t^2, in place: temporaries fragment the heap
+    # Horner in t^2, in place (temporaries fragment the heap); the terms past
+    # the far cells' take the near cells alone, so new far cells skip them
+    for i in range((coef.shape[1] if near else far) - 2, -1, -1):
         cells = slice(None if i < far - 1 else near)
         series[:, cells] *= t2[cells]
         series[:, cells] += coef[:, i, None]

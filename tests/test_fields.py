@@ -452,10 +452,16 @@ def test_field_seminorm_factorizes_for_products():
     assert rep.rect_term == pytest.approx(g_norm * h_norm, rel=0.15)
 
 
+def _axis_pairs(lo, hi):
+    """The probe pairs of holder_seminorm_field on [lo, hi], as the nodes of
+    their two ends: all coarse pairs and the fine small lags."""
+    nodes = fields._axis_nodes(lo, hi)
+    first, second = fields._pair_indices()
+    return nodes[first], nodes[second]
+
+
 def _looped_time_space_terms(w, reg, a, b, box):
     """The time and space seminorm terms with one increment call per probe."""
-    from nlyoung.fields import _axis_pairs
-
     ts_s, ts_t = _axis_pairs(a, b)
     xs_s, xs_t = _axis_pairs(box[0], box[1])
     time_term = max(
@@ -472,7 +478,7 @@ def _looped_time_space_terms(w, reg, a, b, box):
 def _increment_seminorm_terms(w, reg, a, b, box):
     """The three seminorm terms through the increment calls: the reference
     for the separable-term products of holder_seminorm_field."""
-    from nlyoung.fields import _N_COARSE, _axis_pairs
+    from nlyoung.fields import _N_COARSE
 
     ts_s, ts_t = _axis_pairs(a, b)
     xs_s, xs_t = _axis_pairs(box[0], box[1])

@@ -54,7 +54,8 @@ EPS = np.finfo(float).eps
 class _Counting:
     """A plain callable around f that counts the points it is evaluated at.
 
-    It has neither diff nor on_grid, so every sample of f is a call of f.
+    It has no diff, on_grid or grid_factors, so every sample of f is a call
+    of f.
     """
 
     def __init__(self, f):
@@ -67,13 +68,18 @@ class _Counting:
 
 
 class _CountingSeries(WeierstrassFunction):
-    """A Weierstrass series that counts the points it is called at."""
+    """A Weierstrass series that counts the points it is called at and the
+    grid factorizations it builds."""
 
-    points = 0
+    points = builds = 0
 
     def __call__(self, t):
         self.points += np.size(t)
         return super().__call__(t)
+
+    def grid_factors(self, *args):
+        self.builds += 1
+        return super().grid_factors(*args)
 
 
 def _grid_gap(f, t_max):
@@ -201,6 +207,12 @@ def test_series_sampled_on_grids_are_never_called():
     rep, _ = integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=10, tol=0.0)
     assert g.points == phi.points == 0
     assert h.points == 2**rep.levels_used + 1  # h(phi) stays on the call
+    # one factorization per series and sweep: levels 0-10 take one sweep,
+    # levels 0-16 two (0-12 and 13-16)
+    assert (g.builds, phi.builds, h.builds) == (1, 1, 0)
+    integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=16, tol=0.0)
+    assert (g.builds, phi.builds, h.builds) == (3, 3, 0)
+    assert g.points == phi.points == 0
     reg = Regularity(0.6, 0.9, 0.7)
     cfg = QuadratureConfig(n_outer=64)
     integrate_fractional(ProductField(g, h), phi, reg, 0.0, 1.0, cfg, with_bounds=False)
@@ -351,6 +363,57 @@ def test_term_sweep_pieces_keep_their_bits(name, interval, block, monkeypatch):
     w = SEWING_MEDIA[name]
     _, trace = integrate_sewing(w, SEWING_PHI, *interval, max_levels=12, tol=0.0)
     assert trace.sums == _naive_term_sums(w, SEWING_PHI, *interval, 12)
+
+
+def _contract(f, ts):
+    """The series evaluators' accuracy contract at the points ts (see
+    test_paths._grid_bound): 3 eps sum_k A_k (1 + F_k max|t| + |p_k|)."""
+    spread = 1.0 + f._freqs * np.max(np.abs(ts)) + np.abs(f.phases)
+    return 3.0 * EPS * float(np.sum(f._amps * spread))
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71), (-2.5, 1.5)])
+@pytest.mark.parametrize("block, last", [(2**9, 12), (2**7, 9), (2**9, 9), (None, 16)])
+def test_sweep_series_rows_match_on_grid(interval, block, last, monkeypatch):
+    # the sweep factors each series once over the 2^last + 1 nodes, in rows
+    # of m = 2^ceil(last / 2) nodes but at most a piece, and multiplies each
+    # piece's rows into its buffer, the piece's left node carried from the
+    # piece before: 8 pieces of 512 at level 12 (m = 64), 4 of 128 at level 9
+    # (m = 32), one of 512 (m = 32), 2 of 2^15 at level 16 (m = 256)
+    if block:
+        monkeypatch.setattr(nonlinear, "_BLOCK_ENTRIES", block)
+    a, b = interval
+    g = make_weierstrass(0.6, 12, phases=[0.7 * k + 0.2 for k in range(12)])
+    phi = make_weierstrass(0.7, 12, phases=[0.3 * k for k in range(12)])
+    pieces, entries = [], nonlinear._term_entries
+
+    def keep(rows, s):  # the finest level is formed by piece from the rows whole
+        if s == 1:
+            pieces.append([row.copy() for row in rows])
+        return entries(rows, s)
+
+    monkeypatch.setattr(nonlinear, "_term_entries", keep)
+    list(nonlinear.sewing_levels(ProductField(g, ident), phi, a, b, last, last))
+    n = 2**last
+    piece = min(n, 1 << ((block or nonlinear._BLOCK_ENTRIES).bit_length() - 1))
+    assert len(pieces) == n // piece and all(p[0].size == piece + 1 for p in pieces)
+    for before, after in zip(pieces, pieces[1:]):  # the carried left node
+        assert after[0][0] == before[0][-1] and after[1][0] == before[1][-1]
+    step = (b - a) / n
+    ts = np.linspace(a, b, n + 1)
+    for f, k in ((g, 0), (phi, 1)):  # rows g and h(phi) = phi
+        got = np.concatenate([pieces[0][k]] + [p[k][1:] for p in pieces[1:]])
+        want = f.on_grid(a, step, n + 1)
+        bound = _contract(f, ts)
+        assert float(np.max(np.abs(got - want))) <= bound
+        # at each piece join, on the first factor row of every piece after
+        # the first (its left node carried, the rest of the row its own),
+        # and at node b, against the call too
+        for j in range(len(pieces)):
+            row = slice(j * piece, j * piece + min(piece, 1 << ((last + 1) // 2)))
+            assert float(np.max(np.abs(got[row] - want[row]))) <= bound
+            assert float(np.max(np.abs(got[row] - f(ts[row])))) <= bound
+        assert abs(got[-1] - f(b)) <= bound and abs(got[-1] - want[-1]) <= bound
 
 
 @pytest.mark.parametrize("k", [7, 8, 12, 16, 20])

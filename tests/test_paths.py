@@ -258,8 +258,8 @@ def test_weierstrass_base2_call_within_contract_near_zero(start, stop, H, phased
     # a base-2 call reaches scale k by k angle doublings from t, so the
     # roundings made while the angle is small grow 2^k-fold by scale k,
     # and the fine scales' amplitudes are nearly 1 at small H.  Zero phases
-    # leave the bound no |p_k| term.  The points span several of the call's
-    # blocks, each starting its doublings afresh.
+    # leave the bound no |p_k| term.  The points span two of the call's
+    # blocks of 8,192, each starting its doublings afresh.
     count = 3 * 4096 + 5
     phases = list(np.random.default_rng(count).uniform(0.0, 2.0 * np.pi, scales)) if phased else None
     w = make_weierstrass(H, scales, base=2.0, phases=phases)

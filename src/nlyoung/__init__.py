@@ -24,7 +24,6 @@ from .fields import (
 from .fraccalc import (
     frac_integral_left,
     frac_integral_right,
-    smooth_parts_identity_check,
     weyl_left,
     weyl_right,
 )

@@ -21,7 +21,7 @@ from .fields import Regularity, holder_seminorm_field, make_field
 from .fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
 from .iterated import JointField, growth_check, iterated_integral
 from .nonlinear import indefinite_integral
-from .paths import _split_top_level, holder_seminorm_path, make_function, write_path_csv
+from .paths import _as_sampled, _split_top_level, holder_seminorm_path, make_function, write_path_csv
 from .quadrature import QuadratureConfig
 from .young import young_integral
 
@@ -204,11 +204,7 @@ def cmd_holder(args) -> int:
         }
     else:
         _require(args, "holder without --field", "path")
-        p = xp.load_path(args.path)
-        if not hasattr(p, "ts"):
-            from .paths import sample_function
-
-            p = sample_function(p, args.a, args.b, 2048)
+        p = _as_sampled(xp.load_path(args.path), args.a, args.b, 2048)
         rep = holder_seminorm_path(p, args.exponent, args.a, args.b)
         payload = {
             "seminorm": rep.seminorm,

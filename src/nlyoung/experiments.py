@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field as dataclass_field, fields, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,17 +69,6 @@ class ExperimentSpec:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "methods": list(self.methods), "alphas": list(self.alphas)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentSpec":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise SpecValidationError(f"unknown spec keys: {sorted(unknown)}")
-        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-        missing = required - set(data)
-        if missing:
-            raise SpecValidationError(f"missing spec keys: {sorted(missing)}")
-        return cls(**{k: tuple(v) if k in ("methods", "alphas") else v for k, v in data.items()})
 
 
 @dataclass

@@ -18,9 +18,10 @@ numerical rank from a thin SVD of its nodal values, exact to within the
 first dropped singular value, a rounding-level amount.  The four-term
 fractional expansion of int W(dt, phi_t) is linear in W, so the fractional
 route computes it as sum_k int h_k(phi) dg_k over these terms; the sewing
-sums reuse nodes for a single term.  The field seminorm reads every term,
-so its probes are matrix products of the terms' increments and never go
-through the increment calls.
+sweep forms its germ from them for up to five terms and from increment_t
+for more.  The field seminorm reads every term, so its probes are matrix
+products of the terms' increments and never go through the increment
+calls.
 """
 
 from __future__ import annotations

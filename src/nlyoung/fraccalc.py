@@ -46,7 +46,6 @@ __all__ = [
     "frac_integral_right",
     "weyl_left",
     "weyl_right",
-    "smooth_parts_identity_check",
 ]
 
 
@@ -344,33 +343,3 @@ def dl_dr_sampled(fv, gv, gam: float, a: float, b: float, cfg: QuadratureConfig,
         return pref * plan.outer_sum(dl_hat.reshape(-1, n + 1).sum(axis=0))
 
     return refine_levels(evaluate, start, cfg.tol, min(2.0 - gam, 1.0 + gam), cap)
-
-
-def riemann_stieltjes_midpoint(f, g, a: float, b: float, n: int) -> float:
-    """Midpoint Riemann-Stieltjes sum  sum f(mid_i) (g(t_{i+1}) - g(t_i))."""
-    ts = np.linspace(a, b, n + 1)
-    mids = 0.5 * (ts[1:] + ts[:-1])
-    return float(np.asarray(f(mids), dtype=float) @ path_diff(g, ts[1:], ts[:-1]))
-
-
-def smooth_parts_identity_check(
-    f,
-    g,
-    alpha: float,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Residual of the fractional integration-by-parts identity on smooth f, g.
-
-    Compares the classical Riemann-Stieltjes value of int f dg (midpoint rule,
-    Richardson refined) against the composed fractional form; returns the
-    absolute difference.
-    """
-    cfg = cfg or QuadratureConfig()
-    _require_order(alpha)
-    classical = refine_levels(
-        lambda n: riemann_stieltjes_midpoint(f, g, a, b, n), cfg.n_nodes, cfg.tol, order=2.0
-    )
-    fractional = dl_dr_integral(f, g, alpha, a, b, mu_f=1.0, beta_g=1.0, cfg=cfg)
-    return abs(classical.value - fractional.value)

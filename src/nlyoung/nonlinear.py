@@ -38,13 +38,7 @@ from .fields import (
     holder_seminorm_field,
 )
 from .fraccalc import _MIN_START_CELLS, _require_interval, dl_dr_sampled, grid_rows, odd_rows
-from .paths import (
-    _BLOCK_ENTRIES,
-    HolderReport,
-    SampledPath,
-    holder_seminorm_path,
-    sample_function,
-)
+from .paths import _BLOCK_ENTRIES, HolderReport, SampledPath, _as_sampled, holder_seminorm_path
 from .quadrature import (
     QuadratureConfig,
     refine_levels,  # unused here, but perfbench/spans.py wraps it in this module
@@ -152,17 +146,11 @@ def _seminorm_box(w: Field, box: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _as_sampled(phi, a: float, b: float, n: int = 1024) -> SampledPath:
-    if isinstance(phi, SampledPath):
-        return phi
-    return sample_function(phi, a, b, n)
-
-
 def estimate_norms(w: Field, phi, reg: Regularity, a: float, b: float) -> NormEstimates:
     """Probe-grid seminorm estimates of the medium and the path on [a, b]."""
     box = _seminorm_box(w, _phi_box(phi, a, b))
     fr = holder_seminorm_field(w, reg, a, b, box)
-    pr = holder_seminorm_path(_as_sampled(phi, a, b), reg.gamma, a, b)
+    pr = holder_seminorm_path(_as_sampled(phi, a, b, 1024), reg.gamma, a, b)
     return NormEstimates(fr, pr, box)
 
 
@@ -269,14 +257,13 @@ class SewingTrace:
         return float(-slope)
 
 
-# intervals per germ call: a grid germ keeps about a dozen arrays of its
-# block's length live at once, so it takes a quarter of the block budget
-_GERM_BLOCK = _BLOCK_ENTRIES // 4
-# most separable terms a medium may have to sew from its terms.  The germ
-# route's cost does not depend on the rank and the term route's grows with
-# it: on 257 x 65 random grids at 2^18 intervals (minima of 20 interleaved
-# solves), rank 5 took 28.4 ms on the terms against 33.1 ms by germ calls,
-# rank 6 34.6 against 33.7 ms.
+# most separable terms a medium may have to sew from its terms.  Every
+# medium is sewn by one sweep; the rank picks only its entries.  The cost of
+# increment_t entries does not depend on the rank and the terms' grows with
+# it: on 257 x 65 random grids along a Weierstrass phi at 2^18 intervals
+# (minima of 20 interleaved solves, shared 2-core Xeon), rank 5 took 25.0 ms
+# on the terms against 32.0 ms on increment_t, rank 6 30.0 against 31.4 ms
+# and rank 7 34.3 against 31.6 ms.
 _REUSE_TERMS = 5
 # finest level of a sewing solve's first sweep: 2^12 intervals, the
 # fractional ladder's floor
@@ -294,30 +281,6 @@ def _tree_sum(parts) -> float:
     return float(p[0])
 
 
-def _germ_levels(w: Field, phi, a: float, b: float, last: int, first: int):
-    """Germ arrays of the dyadic partitions of [a, b] at levels first..last,
-    in order, each level in consecutive blocks of at most _GERM_BLOCK
-    intervals: entry i of level k is mu(t_i, t_(i+1)) on the nodes
-    np.linspace(a, b, 2^k + 1)."""
-    germ = Germ(w, phi)
-    for k in range(first, last + 1):
-        ts = np.linspace(a, b, 2**k + 1)
-        s, t = ts[:-1], ts[1:]
-        for i in range(0, s.size, _GERM_BLOCK):
-            yield germ(s[i:i + _GERM_BLOCK], t[i:i + _GERM_BLOCK])
-
-
-def _by_level(blocks, first: int, last: int, take):
-    """take(block) for the blocks of _germ_levels, a list per level."""
-    for k in range(first, last + 1):
-        parts, size = [], 0
-        while size < 2**k:
-            block = next(blocks)
-            size += block.size
-            parts.append(take(block))
-        yield parts
-
-
 def _term_entries(rows, s: int) -> np.ndarray:
     """sum_k (g_k(t_(i+s)) - g_k(t_i)) h_k(phi(t_i)) at stride s of a piece's
     nodes, from its rows g_1, h_1(phi), g_2, h_2(phi), ..., in term order."""
@@ -328,31 +291,33 @@ def _term_entries(rows, s: int) -> np.ndarray:
     return out
 
 
-def _term_levels(terms, phi, a: float, b: float, last: int, first: int, take) -> list:
-    """The levels first..last for W = sum_k g_k(t) h_k(x), from the terms:
-    entry i is sum_k (g_k(t_(i+1)) - g_k(t_i)) h_k(phi(t_i)), in term order.
-    A list per level of take(entries) for each of its parts, in order.
+def _term_levels(terms, phi, entries, a: float, b: float, last: int, first: int, take) -> list:
+    """The levels first..last of the germ on the dyadic partitions of [a, b],
+    from one sweep over the nodes t of level last: a list per level of
+    take(entries(rows, s)) for each of its parts, in order, where rows are
+    a piece's rows and s the level's stride in them.  With the terms
+    (g_k, h_k) the rows are g_1(t), h_1(phi(t)), g_2(t), ..., in term order;
+    with none they are t and phi(t).
 
-    One sweep samples the nodes of level last in pieces of min(2^last, P)
-    intervals, P the largest power of two within _BLOCK_ENTRIES, each node
-    of each g_k and phi once, each h_k once on phi's values, the piece's
-    left node carried from the piece before.  A series (a g_k or phi with
-    grid_factors) is factored once per sweep over all 2^last + 1 nodes,
-    in rows of m nodes, m = 2^ceil(last / 2) ~ sqrt(2^last) but at most
-    the piece, so that m divides it; each piece is then one product of
-    its piece / m + 1 factor rows, written straight into its buffer.  Any
-    other g_k or phi is called on the piece's nodes (i + j piece) step + a,
-    the last one b: bitwise the nodes of np.linspace(a, b, 2^k + 1) at
-    every level k, since step = (b - a) / 2^last is (b - a) / 2^k scaled by
-    a power of two.  A level's entries in a piece are the differences of
-    its nodes at stride 2^(last - k).  With one piece, or at least 128
-    entries a piece, a level takes a part per piece, so _tree_sum of their
-    np.sum is np.sum of the level; the coarser ones are formed whole, after
-    the sweep, from the nodes of the level of 128 entries a piece (or of
-    level last) gathered from every piece.  So for g_k, h_k and phi
-    without grid_factors each entry is the term sum on the level's nodes
-    bit for bit; a series' samples meet its accuracy contract instead of
-    matching its calls bit for bit.
+    The sweep samples the nodes in pieces of min(2^last, P) intervals, P
+    the largest power of two within _BLOCK_ENTRIES, each node of phi and
+    each g_k once, each h_k once on phi's values, the piece's left node
+    carried from the piece before.  A series (phi or a g_k with
+    grid_factors) is factored once per sweep over all 2^last + 1 nodes, in
+    rows of m nodes, m = 2^ceil(last / 2) ~ sqrt(2^last) but at most the
+    piece, so that m divides it; each piece is then one product of its
+    piece / m + 1 factor rows, written straight into its buffer.  Any other
+    phi or g_k is called on the piece's nodes (i + j piece) step + a, the
+    last one b: bitwise the nodes of np.linspace(a, b, 2^k + 1) at every
+    level k, since step = (b - a) / 2^last is (b - a) / 2^k scaled by a
+    power of two.  A level's entries in a piece are formed from its rows at
+    stride 2^(last - k).  With one piece, or at least 128 entries a piece, a
+    level takes a part per piece, so _tree_sum of their np.sum is np.sum of
+    the level; the coarser ones are formed whole, after the sweep, from the
+    rows of the level of 128 entries a piece (or of level last) gathered
+    from every piece.  So for functions without grid_factors each entry is
+    entries on the level's nodes bit for bit; a series' samples meet its
+    accuracy contract instead of matching its calls bit for bit.
     """
     n = 2**last
     piece = min(n, 1 << (_BLOCK_ENTRIES.bit_length() - 1))
@@ -366,74 +331,75 @@ def _term_levels(terms, phi, a: float, b: float, last: int, first: int, take) ->
     fns = [phi, *(g for g, _ in terms)]
     factors = [f.grid_factors(a, step, n + 1, m) if hasattr(f, "grid_factors") else None for f in fns]
     # a series' buffer takes its piece's per + 1 factor rows whole, m - 1
-    # nodes past the piece; a plain phi's values are read where they are made
+    # nodes past the piece
     bufs = [np.empty(piece + m) if fac else np.empty(piece + 1) for fac in factors]
-    if factors[0] is None:
-        bufs[0] = None
+    # the nodes, made when some function is called on them or they are a row
+    ts = np.empty(piece + 1) if not terms or any(fac is None for fac in factors) else None
     rows = []
     for buf in bufs[1:]:
         rows += [buf[:piece + 1], np.empty(piece + 1)]
-    nodes = [np.empty(2**coarse + 1) for _ in rows] if first < split else []
+    rows = rows or [ts, bufs[0][:piece + 1]]
+    gathered = [np.empty(2**coarse + 1) for _ in rows] if first < split else []
     parts = [[] for _ in range(first, last + 1)]
-    calls = any(fac is None for fac in factors)  # some g_k or phi is called on the nodes
     for j in range(pieces):
         new = 1 if j else 0
-        if calls:
-            ts = np.arange(j * piece + new, (j + 1) * piece + 1, dtype=float)
-            ts *= step
+        if ts is not None:  # the left node too: the last node of the piece before, bit for bit
+            np.multiply(np.arange(j * piece, (j + 1) * piece + 1), step, out=ts)
             ts += a
             if j == pieces - 1:
                 ts[-1] = b
         for f, fac, buf in zip(fns, factors, bufs):
-            if buf is None:
-                x = np.asarray(f(ts), dtype=float)
-                continue
             carried = buf[piece]
             if fac:
                 np.matmul(fac[0][j * per:(j + 1) * per + 1], fac[1], out=buf.reshape(-1, m))
             else:
-                buf[new:piece + 1] = f(ts)
+                buf[new:piece + 1] = f(ts[new:])
             if new:
                 buf[0] = carried
-        if bufs[0] is not None:
-            x = bufs[0][new:piece + 1]
+        x = bufs[0][new:piece + 1]
         for row, (_, h) in zip(rows[1::2], terms):
             if new:
                 row[0] = row[-1]
             row[new:] = h(x)
         for k in range(max(first, split), last + 1):
-            parts[k - first].append(take(_term_entries(rows, 2 ** (last - k))))
+            parts[k - first].append(take(entries(rows, 2 ** (last - k))))
         width = piece // stride
-        for gathered, row in zip(nodes, rows):
-            gathered[j * width:(j + 1) * width + 1] = row[::stride]
+        for nodes, row in zip(gathered, rows):
+            nodes[j * width:(j + 1) * width + 1] = row[::stride]
     for k in range(first, min(split, last + 1)):
-        parts[k - first].append(take(_term_entries(nodes, 2 ** (coarse - k))))
+        parts[k - first].append(take(entries(gathered, 2 ** (coarse - k))))
     return parts
 
 
 def _level_parts(w: Field, phi, a: float, b: float, last: int, first: int, take):
     """take(part) for the consecutive parts of each level first..last, a
-    list per level: from the terms (_term_levels) for one to _REUSE_TERMS
-    separable terms, else from blocked germ calls (_germ_levels)."""
+    list per level, from one sweep (_term_levels): on the terms for one to
+    _REUSE_TERMS separable terms, else on W.increment_t at the nodes and
+    phi's values."""
     terms = w.separable_terms()
     if terms and len(terms) <= _REUSE_TERMS:
-        return _term_levels(terms, phi, float(a), float(b), last, first, take)
-    return _by_level(_germ_levels(w, phi, a, b, last, first), first, last, take)
+        return _term_levels(terms, phi, _term_entries, float(a), float(b), last, first, take)
+
+    def germ_entries(rows, s):
+        t, x = rows
+        return w.increment_t(t[:-s:s], t[s::s], x[:-s:s])
+
+    return _term_levels((), phi, germ_entries, float(a), float(b), last, first, take)
 
 
 def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
     """The germ mu(s, t) = W(t, phi_s) - W(s, phi_s) on the dyadic partitions
     of [a, b] with 2^k intervals, one array per level k = first..last.
 
-    Media with one to _REUSE_TERMS separable terms sum the germ of their
-    terms, sum_k (g_k(t) - g_k(s)) h_k(phi_s), from one sweep over the
-    nodes of level last (_term_levels): every g_k, h_k and phi is evaluated
-    at 2^last + 1 points in all, when sewing_levels is called, a
-    Weierstrass g_k or phi by one grid factorization over those points and
-    a product of its rows per piece.  Media with
-    more terms, or with none, call the germ on all 2^k + 1 nodes of each
-    level, in blocks, as the levels are read.  Needs 0 <= first <= last and
-    last >= 1.
+    Every level comes from one sweep over the nodes of level last
+    (_term_levels), made when sewing_levels is called: phi is evaluated at
+    those 2^last + 1 points, a Weierstrass phi by one grid factorization
+    over them and a product of its rows per piece.  Media with one to
+    _REUSE_TERMS separable terms sum the germ of their terms,
+    sum_k (g_k(t) - g_k(s)) h_k(phi_s), each g_k sampled like phi and each
+    h_k evaluated once on phi's values; media with more terms, or with
+    none, call W.increment_t on the nodes and phi's values.  Needs
+    0 <= first <= last and last >= 1.
     """
     if not 0 <= first <= last or last < 1:
         raise ValueError(f"need 0 <= first <= last and last >= 1, got first={first}, last={last}")
@@ -470,13 +436,12 @@ def integrate_sewing(
     that is not finite is reported with converged=False.
 
     Each level is summed piece by piece (_level_sums), so none is held
-    whole.  A medium sewn from its terms forms its levels in two sweeps,
-    0..12 and 13..max_levels, each sampling all of its finest nodes (a
-    Weierstrass g_k or phi from one grid factorization per sweep); the
-    second runs only if the tol rule has not fired by level 12.  So a
-    solve that stops at level 12 or below has paid for level
-    min(max_levels, 12), and one that stops above it for level max_levels.
-    The germ route forms each level only when its sum is read.
+    whole.  The levels are formed in two sweeps, 0..12 and 13..max_levels,
+    each sampling all of its finest nodes (a Weierstrass g_k or phi from
+    one grid factorization per sweep); the second runs only if the tol rule
+    has not fired by level 12.  So a solve that stops at level 12 or below
+    has paid for level min(max_levels, 12), and one that stops above it for
+    level max_levels.
     """
     _require_interval(a, b)
     if max_levels < 2:
@@ -759,8 +724,8 @@ def stability_in_path(
     box1, box2 = _phi_box(phi1, u, v), _phi_box(phi2, u, v)
     box = _seminorm_box(w, (min(box1[0], box2[0]), max(box1[1], box2[1])))
     bracket = holder_seminorm_field(w, reg, u, v, box).bracket
-    n1 = holder_seminorm_path(_as_sampled(phi1, u, v), reg.gamma, u, v).seminorm
-    n2 = holder_seminorm_path(_as_sampled(phi2, u, v), reg.gamma, u, v).seminorm
+    n1 = holder_seminorm_path(_as_sampled(phi1, u, v, 1024), reg.gamma, u, v).seminorm
+    n2 = holder_seminorm_path(_as_sampled(phi2, u, v, 1024), reg.gamma, u, v).seminorm
     term1 = bracket * supdiff**reg.lam * (v - u) ** reg.tau
     term2 = (
         bracket

@@ -30,9 +30,9 @@ PathLike = Callable[[np.ndarray], np.ndarray]
 # block's temporaries stay in cache and glibc serves them from its heap rather
 # than mapping (and faulting in) fresh pages for every block.  The path
 # seminorm takes blocks of lags of this many pairs, the field seminorm's probe
-# products row blocks of this many entries, the sewing germ a quarter of it,
-# the sewing sweep pieces of the largest power of two within it and a base-2
-# series call a quarter (it keeps four buffers of its block).
+# products row blocks of this many entries, the sewing sweep pieces of the
+# largest power of two within it, whatever the medium, and a base-2 series
+# call a quarter (it keeps four buffers of its block).
 _BLOCK_ENTRIES = 1 << 15
 # most scales a base-2 series takes by angle doubling (WeierstrassFunction):
 # its modulus error at scale k, about 2^k eps, stays below 1/2 up to scale 51
@@ -323,6 +323,11 @@ def sample_function(f: PathLike, a: float, b: float, n: int) -> SampledPath:
     """Sample a callable on n+1 uniform points of [a, b]."""
     ts = np.linspace(a, b, n + 1)
     return SampledPath(ts, sample_uniform(f, ts, (b - a) / n))
+
+
+def _as_sampled(f, a: float, b: float, n: int) -> SampledPath:
+    """f itself if it is a SampledPath, else sample_function(f, a, b, n)."""
+    return f if isinstance(f, SampledPath) else sample_function(f, a, b, n)
 
 
 def path_diff(f, t, s):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .fields import RegularityError
 from .fraccalc import dl_dr_integral
-from .paths import holder_seminorm_path, sample_function, sup_norm
+from .paths import _as_sampled, holder_seminorm_path, sup_norm
 from .quadrature import QuadratureConfig
 
 __all__ = ["YoungResult", "young_integral"]
@@ -59,10 +59,8 @@ def young_integral(
     cfg = cfg or _DEFAULT_CFG
     quad = dl_dr_integral(f, g, gamma, a, b, mu_f=alpha_f, beta_g=beta_g, cfg=cfg)
 
-    fs = sample_function(f, a, b, 1024) if not hasattr(f, "ts") else f
-    gs = sample_function(g, a, b, 1024) if not hasattr(g, "ts") else g
-    f_alpha = holder_seminorm_path(fs, alpha_f, a, b).seminorm
-    g_beta = holder_seminorm_path(gs, beta_g, a, b).seminorm
+    f_alpha = holder_seminorm_path(_as_sampled(f, a, b, 1024), alpha_f, a, b).seminorm
+    g_beta = holder_seminorm_path(_as_sampled(g, a, b, 1024), beta_g, a, b).seminorm
     f_inf = sup_norm(f, a, b)
     denom = g_beta * (
         f_inf * (b - a) ** beta_g + f_alpha * (b - a) ** (alpha_f + beta_g)

@@ -24,8 +24,9 @@ from nlyoung.experiments import (
     sewing_order_study,
     stability_study,
 )
-from nlyoung.fraccalc import smooth_parts_identity_check, weyl_left
+from nlyoung.fraccalc import weyl_left
 from nlyoung.quadrature import QuadratureConfig
+from test_fraccalc import smooth_parts_identity_check
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:

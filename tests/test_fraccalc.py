@@ -13,12 +13,11 @@ from nlyoung.fraccalc import (
     frac_integral_right,
     grid_rows,
     odd_rows,
-    riemann_stieltjes_midpoint,
-    smooth_parts_identity_check,
     weyl_left,
     weyl_right,
 )
-from nlyoung.quadrature import QuadratureConfig
+from nlyoung.paths import path_diff
+from nlyoung.quadrature import QuadratureConfig, refine_levels
 
 CFG = QuadratureConfig()
 
@@ -275,6 +274,27 @@ def test_grading_convergence_improves_with_nodes():
 
 # ---------------------------------------------------------------------------
 # smooth-parts identity
+
+
+def riemann_stieltjes_midpoint(f, g, a, b, n):
+    """Midpoint Riemann-Stieltjes sum  sum f(mid_i) (g(t_(i+1)) - g(t_i))."""
+    ts = np.linspace(a, b, n + 1)
+    mids = 0.5 * (ts[1:] + ts[:-1])
+    return float(np.asarray(f(mids), dtype=float) @ path_diff(g, ts[1:], ts[:-1]))
+
+
+def smooth_parts_identity_check(f, g, alpha, a, b, cfg):
+    """Residual of the fractional integration-by-parts identity on smooth f, g.
+
+    Compares the classical Riemann-Stieltjes value of int f dg (midpoint
+    rule, Richardson refined) against the composed fractional form; returns
+    the absolute difference.
+    """
+    classical = refine_levels(
+        lambda n: riemann_stieltjes_midpoint(f, g, a, b, n), cfg.n_nodes, cfg.tol, order=2.0
+    )
+    fractional = dl_dr_integral(f, g, alpha, a, b, mu_f=1.0, beta_g=1.0, cfg=cfg)
+    return abs(classical.value - fractional.value)
 
 
 def test_smooth_parts_constant_linear():

@@ -203,15 +203,14 @@ class _CountingG:
         return self.f(t)
 
 
-@pytest.mark.parametrize("name, points", [
-    ("grid-spatial", 2**10 + 2**11 + 2**12),  # the germ's left nodes at levels 10-12
-    ("sin-spatial", 2**12 + 1),  # every node of level 12 once
-])
-def test_stage_forms_only_its_three_levels(name, points):
+@pytest.mark.parametrize("name", ["grid-spatial", "sin-spatial"])
+def test_stage_forms_only_its_three_levels(name):
+    # one sweep over the nodes of level 12 samples phi once per node, whether
+    # the stage is sewn from the grid's increments or from its terms
     w, carrier, _ = _stage_media()[name]
     phi = _CountingG(carrier)
     _stage_path(w, phi, 0.2, 0.9, 257, 12)
-    assert phi.points == points
+    assert phi.points == 2**12 + 1
 
 
 @pytest.mark.parametrize("variant", ["diagonal", "spatial"])

@@ -1,7 +1,6 @@
 import functools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -442,24 +441,26 @@ def test_sampled_g_on_exactly_the_interval(interval, monkeypatch):
 
 
 @pytest.mark.parametrize("rank", [4, 5, 6])
-def test_grid_rank_picks_the_sewing_route(rank):
+def test_grid_rank_picks_the_sewing_route(rank, monkeypatch):
+    # every grid is sewn by one sweep, phi sampled once per node, on 1, 8
+    # and 32 pieces; the rank picks the entries: the terms' germ up to rank
+    # 5, the grid's own increments from rank 6 on
     assert nonlinear._REUSE_TERMS == 5
     rng = np.random.RandomState(rank)
     ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-3.0, 3.0, 17)
     w = GridField(ts, xs, rng.randn(ts.size, rank) @ rng.randn(rank, xs.size))
     assert len(w.separable_terms()) == rank
-    phi = _Counting(_phased(rng, 0.7, 12))
-    rep, trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=12, tol=0.0)
-    if rank <= 5:  # node reuse: phi sampled once per node
+    raw_phi = _phased(rng, 0.7, 12)
+    for block in (2**15, 2**9, 2**7):
+        monkeypatch.setattr(nonlinear, "_BLOCK_ENTRIES", block)
+        phi = _Counting(raw_phi)
+        _, trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=12, tol=0.0)
         assert phi.points == 2**12 + 1
-        assert trace.sums == _naive_term_sums(w, phi, 0.13, 0.71, 12)
-        assert trace.sums == pytest.approx(_naive_germ_sums(w, phi, 0.13, 0.71, 12), rel=1e-13)
-    else:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nonlinear, "_germ_levels", _one_shot_germ_levels)
-            want_rep, want_trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=12, tol=0.0)
-        assert trace == want_trace
-        assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
+        if rank <= 5:
+            assert trace.sums == _naive_term_sums(w, phi, 0.13, 0.71, 12)
+            assert trace.sums == pytest.approx(_naive_germ_sums(w, phi, 0.13, 0.71, 12), rel=1e-13)
+        else:
+            assert trace.sums == _naive_germ_sums(w, phi, 0.13, 0.71, 12)
 
 
 def _swept_nodes(levels_used, max_levels):
@@ -510,7 +511,8 @@ def _series_sum_bounds(g, h, phi, a, b, levels):
     return np.array(bounds)
 
 
-# levels up to 13 take one germ call, finer ones several blocks
+# a level of up to 2^15 intervals is one piece, finer ones several; with
+# pieces of 2^9 intervals levels 12-15 span 8-64 pieces
 @pytest.mark.parametrize("max_levels", [12, 13, 14, 15])
 @settings(derandomize=True, deadline=None, max_examples=6)
 @given(
@@ -519,7 +521,6 @@ def _series_sum_bounds(g, h, phi, a, b, levels):
     interval=st.sampled_from([(0.0, 1.0), (0.13, 0.71)]),
 )
 def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interval):
-    assert nonlinear._GERM_BLOCK == 2**13
     rng = np.random.RandomState(seed)
     ts, xs = np.linspace(0.0, 1.0, 65), np.linspace(-3.0, 3.0, 17)
     w = GridField(ts, xs, rng.randn(ts.size, xs.size))
@@ -527,14 +528,16 @@ def test_blocked_germ_sums_bitwise_equal_one_shot(max_levels, seed, kind, interv
         w = SumField(w, ProductField(_phased(rng, 0.6, 10), np.sin))
     elif kind == "difference":
         w = DifferenceField(w, GridField(ts, xs, rng.randn(ts.size, xs.size)))
-    phi = _phased(rng, 0.7, 12)
+    assert len(w.separable_terms()) > nonlinear._REUSE_TERMS
+    phi = _Counting(_phased(rng, 0.7, 12))
     a, b = interval
-    rep, trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nonlinear, "_germ_levels", _one_shot_germ_levels)
-        want_rep, want_trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
-    assert trace == want_trace
-    assert replace(rep, runtime_ms=0.0) == replace(want_rep, runtime_ms=0.0)
+    want = _naive_germ_sums(w, phi, a, b, max_levels)
+    for block in (None, 2**9):
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(nonlinear, "_BLOCK_ENTRIES", block)
+            _, trace = integrate_sewing(w, phi, a, b, max_levels=max_levels, tol=0.0)
+        assert trace.sums == want
 
 
 def test_sewing_holds_no_finished_level():
@@ -560,6 +563,36 @@ def test_sewing_sums_of_raw_series_within_evaluator_bound(name, interval):
     _, raw = integrate_sewing(RAW_SEWING_MEDIA[name], RAW_SEWING_PHI, a, b, max_levels=12, tol=0.0)
     (g, h), = RAW_SEWING_MEDIA[name].separable_terms()
     bounds = _series_sum_bounds(g, h, RAW_SEWING_PHI, a, b, 12)
+    assert np.all(np.abs(np.subtract(raw.sums, plain.sums)) <= bounds)
+
+
+def _germ_sum_bounds(w, phi, a, b, levels):
+    """Per level k, how far the sewing sums of a grid along a raw series phi
+    may lie from those along phi behind a plain callable.
+
+    The level-k sum is sum_i (W(t_(i+1), phi_i) - W(t_i, phi_i)) over 2^k
+    cells.  W is linear in x between its x nodes, with slopes at most L_x in
+    magnitude, so the entry moves by at most 2 L_x dphi when the grid
+    evaluator moves phi_i by at most dphi.  Each entry takes a few roundings
+    of the grid's values, at most M = max|W| in magnitude, and each side's
+    sum at most k + 1 roundings of the sum of the |entries| <= 2 M.
+    """
+    dphi = _grid_gap(phi, max(abs(a), abs(b)))
+    slopes = np.diff(w.values, axis=1) / np.diff(w.xs)
+    lip, big = float(np.max(np.abs(slopes))), float(np.max(np.abs(w.values)))
+    cells = 2.0 ** np.arange(levels + 1)
+    return cells * (2.0 * lip * dphi + 2.0 * (np.arange(levels + 1) + 9) * EPS * 2.0 * big)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.13, 0.71)])
+def test_germ_sums_of_raw_series_phi_within_evaluator_bound(interval):
+    # a raw series phi is sampled from its grid factorization on the germ
+    # route too, so its sums move off the calls' by at most the bound
+    w = RAW_SEWING_MEDIA["grid"]
+    assert len(w.separable_terms()) > nonlinear._REUSE_TERMS
+    _, plain = integrate_sewing(w, SEWING_PHI, *interval, max_levels=14, tol=0.0)
+    _, raw = integrate_sewing(w, RAW_SEWING_PHI, *interval, max_levels=14, tol=0.0)
+    bounds = _germ_sum_bounds(w, RAW_SEWING_PHI, *interval, 14)
     assert np.all(np.abs(np.subtract(raw.sums, plain.sums)) <= bounds)
 
 
@@ -770,6 +803,20 @@ def test_medium_without_separable_terms_rejected_before_sampling():
     with pytest.raises(ValueError, match="GridField"):
         integrate_fractional(_Unexpanded(), phi, SMOOTH, 0.0, 1.0)
     assert phi.points == 0
+
+
+@pytest.mark.parametrize("max_levels", [12, 14])
+@pytest.mark.parametrize("block", [2**15, 2**9, 2**7])
+def test_medium_without_separable_terms_sewn_from_its_increments(max_levels, block, monkeypatch):
+    # one piece, or 8 and 32 pieces at level 12 (32 and 128 at level 14)
+    monkeypatch.setattr(nonlinear, "_BLOCK_ENTRIES", block)
+    w = _Unexpanded()
+    assert w.separable_terms() is None
+    phi = _Counting(np.sin)
+    rep, trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=max_levels, tol=0.0)
+    assert rep.levels_used == max_levels
+    assert phi.points == _swept_nodes(rep.levels_used, max_levels)
+    assert trace.sums == _naive_germ_sums(w, np.sin, 0.13, 0.71, max_levels)
 
 
 def test_degenerate_constant_path_collapses():

@@ -191,8 +191,8 @@ def run(spec: ExperimentSpec) -> RunReport:
         rep = integrate_fractional(w, phi, reg, spec.a, spec.b, cfg)
         raw["fractional"] = rep
         reports["fractional"] = rep.to_json_dict()
-    if "sewing" in spec.methods:
-        rep, trace = integrate_sewing(w, phi, spec.a, spec.b)
+    if "sewing" in spec.methods:  # to the spec's tol, as the fractional route
+        rep, trace = integrate_sewing(w, phi, spec.a, spec.b, tol=cfg.tol)
         raw["sewing"] = rep
         reports["sewing"] = rep.to_json_dict()
         comparisons["sewing_orders"] = list(trace.orders[-4:])
@@ -326,15 +326,15 @@ def additivity_study(spec: ExperimentSpec, n_cuts: int = 10, seed: int = 7) -> R
     cuts = spec.a + (0.1 + 0.8 * rng.rand(n_cuts)) * (spec.b - spec.a)
     checks = []
     full_f = integrate_fractional(w, phi, reg, spec.a, spec.b, cfg, with_bounds=False)
-    full_s, _ = integrate_sewing(w, phi, spec.a, spec.b)
+    full_s, _ = integrate_sewing(w, phi, spec.a, spec.b, tol=cfg.tol)
     for idx, c in enumerate(sorted(float(c) for c in cuts)):
         left = integrate_fractional(w, phi, reg, spec.a, c, cfg, with_bounds=False)
         right = integrate_fractional(w, phi, reg, c, spec.b, cfg, with_bounds=False)
         gap = abs(full_f.value - left.value - right.value)
         budget = full_f.error_estimate + left.error_estimate + right.error_estimate
         checks.append(_check(f"frac_additivity_{idx}", gap, budget))
-        sl, _ = integrate_sewing(w, phi, spec.a, c)
-        sr, _ = integrate_sewing(w, phi, c, spec.b)
+        sl, _ = integrate_sewing(w, phi, spec.a, c, tol=cfg.tol)
+        sr, _ = integrate_sewing(w, phi, c, spec.b, tol=cfg.tol)
         gap_s = abs(full_s.value - sl.value - sr.value)
         budget_s = full_s.error_estimate + sl.error_estimate + sr.error_estimate
         checks.append(_check(f"sewing_additivity_{idx}", gap_s, budget_s))

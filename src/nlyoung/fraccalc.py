@@ -238,23 +238,32 @@ def dl_dr_integral(
 _MIN_START_CELLS = 4096
 
 
-def _start_cells(fns, a: float, b: float, cap: int) -> int:
-    """The start grid of the ladder up to `cap` cells: the coarsest cap/2^k
-    cells that is a multiple of 8, at least _MIN_START_CELLS and at least
-    (b - a) times the finest frequency of fns.
-
-    That is the largest `finest_frequency` (see paths.make_function) of fns;
-    a callable without one has an unknown scale, and its grid starts at the
-    cap.  The rule reads the inputs sampled on the grid only: a nonlinear
-    integral's h_k(phi) is not considered, so a rough h along phi is left to
-    the ladder's estimates.
-    """
+def _finest_scale(fns) -> float | None:
+    """The largest `finest_frequency` (see paths.make_function) of fns: the
+    cells per unit length that a uniform grid needs to resolve them all, or
+    None if one of them has none (an unknown scale)."""
     finest = 0.0
     for fn in fns:
         freq = getattr(fn, "finest_frequency", None)
         if freq is None:
-            return cap
+            return None
         finest = max(finest, freq)
+    return finest
+
+
+def _start_cells(fns, a: float, b: float, cap: int) -> int:
+    """The start grid of the ladder up to `cap` cells: the coarsest cap/2^k
+    cells that is a multiple of 8, at least _MIN_START_CELLS and at least
+    (b - a) times the finest frequency of fns (_finest_scale).
+
+    A callable without a finest_frequency has an unknown scale, and its grid
+    starts at the cap.  The rule reads the inputs sampled on the grid only:
+    a nonlinear integral's h_k(phi) is not considered, so a rough h along
+    phi is left to the ladder's estimates.
+    """
+    finest = _finest_scale(fns)
+    if finest is None:
+        return cap
     n = cap
     while n % 16 == 0 and n // 2 >= max(_MIN_START_CELLS, (b - a) * finest):
         n //= 2

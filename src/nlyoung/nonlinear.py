@@ -15,8 +15,8 @@ Every medium the package builds is a finite sum W = sum_k g_k(t) h_k(x)
 (Field.separable_terms), so the four terms are computed as
 sum_k int h_k(phi) dg_k by one call of fraccalc.dl_dr_sampled on the
 stacked terms.  The sewing route sums the germ
-mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic partitions and
-Richardson-extrapolates the limit.  Both require the declared exponents to
+mu(s,t) = W(t,phi_s) - W(s,phi_s) over dyadic partitions, extrapolates
+the limit at order 1 and refines only as far as its tolerance needs.  Both require the declared exponents to
 satisfy tau + lam*gamma > 1, with the fractional order alpha in
 (1 - tau, lam*gamma); the value does not depend on the admissible alpha.
 """
@@ -37,12 +37,12 @@ from .fields import (
     RegularityError,
     holder_seminorm_field,
 )
-from .fraccalc import _MIN_START_CELLS, _require_interval, dl_dr_sampled, grid_rows, odd_rows
-from .paths import _BLOCK_ENTRIES, HolderReport, SampledPath, _as_sampled, holder_seminorm_path
+from .fraccalc import _finest_scale, _require_interval, dl_dr_sampled, grid_rows, odd_rows
+from .paths import _BLOCK_ENTRIES, _IDENTITY, HolderReport, SampledPath, _as_sampled, holder_seminorm_path
 from .quadrature import (
     QuadratureConfig,
+    _within_tol,
     refine_levels,  # unused here, but perfbench/spans.py wraps it in this module
-    richardson,
 )
 from .regression import lag_scaling_slope
 
@@ -265,9 +265,9 @@ class SewingTrace:
 # on the terms against 32.0 ms on increment_t, rank 6 30.0 against 31.4 ms
 # and rank 7 34.3 against 31.6 ms.
 _REUSE_TERMS = 5
-# finest level of a sewing solve's first sweep: 2^12 intervals, the
-# fractional ladder's floor
-_FIRST_SWEEP = _MIN_START_CELLS.bit_length() - 1
+# lowest floor level of a sewing solve: the estimates at levels F - 2..F,
+# from which the second sweep is sized, read the sums of levels F - 5..F
+_MIN_FLOOR = 5
 
 
 def _tree_sum(parts) -> float:
@@ -360,7 +360,10 @@ def _term_levels(terms, phi, entries, a: float, b: float, last: int, first: int,
         for row, (_, h) in zip(rows[1::2], terms):
             if new:
                 row[0] = row[-1]
-            row[new:] = h(x)
+            if h is _IDENTITY:  # its bits, x + 0.0, without a fresh array to copy
+                np.add(x, 0.0, out=row[new:])
+            else:
+                row[new:] = h(x)
         for k in range(max(first, split), last + 1):
             parts[k - first].append(take(entries(rows, 2 ** (last - k))))
         width = piece // stride
@@ -406,16 +409,48 @@ def sewing_levels(w: Field, phi, a: float, b: float, last: int, first: int = 0):
     return map(np.concatenate, _level_parts(w, phi, a, b, last, first, lambda e: e))
 
 
-def _level_sums(w: Field, phi, a: float, b: float, last: int):
-    """The sums of the levels 0..last of sewing_levels(w, phi, a, b, last),
-    each from its parts' np.sum by _tree_sum, so no level is held whole.
-    Levels 0..min(last, _FIRST_SWEEP) come first; the finer ones only when
-    read, from a second sweep."""
-    cut = min(last, _FIRST_SWEEP)
-    for first, finest in ((0, cut), (cut + 1, last)):
-        if first <= finest:
-            for parts in _level_parts(w, phi, a, b, finest, first, np.sum):
-                yield _tree_sum(parts)
+def _level_sums(w: Field, phi, a: float, b: float, first: int, last: int) -> list:
+    """The sums of the levels first..last of sewing_levels(w, phi, a, b,
+    last, first), from one sweep over the nodes of level last, each from its
+    parts' np.sum by _tree_sum, so no level is held whole."""
+    return [_tree_sum(parts) for parts in _level_parts(w, phi, a, b, last, first, np.sum)]
+
+
+def _floor_level(w: Field, phi, a: float, b: float, max_levels: int) -> int:
+    """The last level F of a sewing solve's first sweep:
+    ceil(log2((b - a) finest)) + 2, finest the largest finest_frequency of
+    phi and the g_k (fraccalc._finest_scale), so that level F has at least
+    four intervals per cell of the inputs' finest scale; at least
+    _MIN_FLOOR, and max_levels when the scale is unknown or beyond it."""
+    terms = w.separable_terms()
+    finest = None if terms is None else _finest_scale([phi, *(g for g, _ in terms)])
+    if finest is None or not (b - a) * finest < 2.0**max_levels:
+        return max_levels
+    level = math.ceil(math.log2((b - a) * finest)) + 2 if finest > 0 else 0
+    return min(max(level, _MIN_FLOOR), max_levels)
+
+
+def _estimates(sums) -> tuple[np.ndarray, np.ndarray]:
+    """(R, E) per level k: the order-1 extrapolation R_k = 2 S_k - S_(k-1)
+    of the level sums S (R_0 = S_0) and its estimate
+    E_k = d_k + |d_k - d_(k-1)|, d_k = |R_k - R_(k-1)| (d_0 = 0)."""
+    s = np.asarray(sums, dtype=float)
+    r = np.concatenate([s[:1], s[1:] + (s[1:] - s[:-1])])
+    d = np.abs(np.diff(r, prepend=r[0]))
+    return r, d + np.abs(np.diff(d, prepend=0.0))
+
+
+def _predicted_level(est: np.ndarray, target: float, floor: int, max_levels: int) -> int:
+    """The second sweep's last level: where the estimate E, decaying from
+    level floor - 2 to floor at the rate it did there, meets target, plus
+    one level, within [floor + 1, max_levels]; max_levels when E does not
+    decay."""
+    early, late = est[floor - 2], est[floor]
+    if not (target > 0 and 0 < late < early):
+        return max_levels
+    rate = 0.5 * math.log2(early / late)  # halvings of E per level
+    more = math.ceil(math.log2(late / target) / rate) + 1
+    return min(max(floor + more, floor + 1), max_levels)
 
 
 def integrate_sewing(
@@ -424,37 +459,52 @@ def integrate_sewing(
     a: float,
     b: float,
     max_levels: int = 18,
-    tol: float = 1e-10,
+    tol: float = 1e-5,
 ) -> tuple[IntegralReport, SewingTrace]:
     """int_a^b W(dt, phi_t) as the limit of germ Riemann sums.
 
-    The sums are those of the levels of sewing_levels(w, phi, a, b,
-    max_levels), refined until successive sums differ by less than tol, from
-    level 4 on, or max_levels is hit; params["stop_reason"] says which.
-    max_levels must be at least 2, so that quadrature.richardson has three
-    sums to extrapolate at their fitted order.  A value or error estimate
-    that is not finite is reported with converged=False.
+    The sums S_k are those of the levels of sewing_levels(w, phi, a, b,
+    max_levels).  The value at level k is their order-1 extrapolation
+    R_k = 2 S_k - S_(k-1), and its error estimate is
+    E_k = |R_k - R_(k-1)| + ||R_k - R_(k-1)| - |R_(k-1) - R_(k-2)||
+    (_estimates); converged says that E meets tol as quadrature._within_tol
+    does, E <= tol max(1, |R|), on a finite value and estimate.
 
-    Each level is summed piece by piece (_level_sums), so none is held
-    whole.  The levels are formed in two sweeps, 0..12 and 13..max_levels,
-    each sampling all of its finest nodes (a Weierstrass g_k or phi from
-    one grid factorization per sweep); the second runs only if the tol rule
-    has not fired by level 12.  So a solve that stops at level 12 or below
-    has paid for level min(max_levels, 12), and one that stops above it for
-    level max_levels.
+    The levels are formed in at most three sweeps (_level_sums), each
+    sampling all the nodes of its last level once (a Weierstrass g_k or phi
+    from one grid factorization per sweep).  The first ends at the floor
+    level F (_floor_level), set by the finest scale of phi and the g_k, or
+    at max_levels when that scale is unknown or tol is 0.  If E_F misses
+    tol, the second ends at the level where E, decaying as it did over
+    levels F - 2..F, meets it, plus one (_predicted_level); if that level
+    misses too, the third ends at max_levels.  The report is that of the
+    finest level swept, so a solve stopping in the second sweep at level L
+    samples 2^F + 1 nodes and then 2^L + 1.  params records F as
+    "floor_level", each sweep's last level as "sweeps", and as
+    "stop_reason" "tol" if E met a tol above 0, else "max_levels".  With
+    tol = 0 a solve forms every level up to max_levels.  max_levels must be
+    at least 2, so that the estimate has two extrapolations to compare.
     """
     _require_interval(a, b)
     if max_levels < 2:
         raise ValueError(f"need max_levels >= 2, got {max_levels}")
     t0 = time.perf_counter()
-    levels = _level_sums(w, phi, a, b, max_levels)
-    sums: list[float] = []
-    stop_reason = "max_levels"
-    for k in range(max_levels + 1):
-        sums.append(next(levels))
-        if k >= 4 and abs(sums[-1] - sums[-2]) < tol:
-            stop_reason = "tol"
+    floor = _floor_level(w, phi, a, b, max_levels)
+    sweeps = [floor if tol > 0 else max_levels]
+    sums = _level_sums(w, phi, a, b, 0, sweeps[0])
+    while True:
+        r, est = _estimates(sums)
+        value, err = float(r[-1]), float(est[-1])
+        # a non-finite value or estimate (h(phi) infinite somewhere, say) met no tolerance
+        converged = math.isfinite(value) and math.isfinite(err) and _within_tol(err, value, tol)
+        stopped = converged and tol > 0
+        if stopped or sweeps[-1] == max_levels:
             break
+        last = max_levels
+        if len(sweeps) == 1:
+            last = _predicted_level(est, tol * max(1.0, abs(value)), floor, max_levels)
+        sums += _level_sums(w, phi, a, b, sweeps[-1] + 1, last)
+        sweeps.append(last)
 
     diffs = np.abs(np.diff(sums))
     orders = tuple(
@@ -462,21 +512,11 @@ def integrate_sewing(
         for i in range(len(diffs) - 1)
         if diffs[i] > 0 and diffs[i + 1] > 0
     )
-    value, err = richardson(*sums[-3:])
-
-    scale = max(1.0, abs(value))
-    # a non-finite value or estimate (h(phi) infinite somewhere, say) met no tolerance
-    converged = math.isfinite(value) and math.isfinite(err)
-    if diffs.size >= 3:
-        tail = diffs[-3:]
-        if tail[-1] >= tail[-2] >= tail[-3] and tail[-1] > 1e-13 * scale:
-            converged = False
-
     runtime_ms = 1e3 * (time.perf_counter() - t0)
     report = IntegralReport(
         value=value,
         method="sewing",
-        error_estimate=float(err),
+        error_estimate=err,
         levels_used=len(sums) - 1,
         runtime_ms=runtime_ms,
         converged=converged,
@@ -485,7 +525,9 @@ def integrate_sewing(
             "b": b,
             "max_levels": max_levels,
             "tol": tol,
-            "stop_reason": stop_reason,
+            "floor_level": floor,
+            "sweeps": sweeps,
+            "stop_reason": "tol" if stopped else "max_levels",
         },
     )
     return report, SewingTrace(tuple(sums), value, orders)

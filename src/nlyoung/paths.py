@@ -510,6 +510,11 @@ def _tag(fn, desc: str, finest: float = 0.0):
     return fn
 
 
+# the one identity function: the sewing sweep writes its values, x + 0.0,
+# straight into its rows instead of copying a fresh array there
+_IDENTITY = _tag(lambda t: np.asarray(t, dtype=float) + 0.0, "identity")
+
+
 def _split_top_level(text: str, sep: str = ",") -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -576,7 +581,7 @@ def make_function(desc: str) -> PathLike:
         return value
 
     if name == "identity":
-        return _tag(lambda t: np.asarray(t, dtype=float) + 0.0, "identity")
+        return _IDENTITY
     if name == "const":
         c = num("c", "1")
         return _tag(lambda t: np.full_like(np.asarray(t, dtype=float), c), desc)

@@ -3,10 +3,11 @@
 Every medium here is W(t, x) = g(t) h(x) with g a finite cosine series, so
 int_a^b W(dt, phi_t) = int_a^b h(phi(t)) g'(t) dt has a smooth integrand that
 composite Gauss-Legendre quadrature resolves to float precision.  Each
-fractional and Young solve must land within 5 of its own error estimates of
-that oracle, over several seeded phase sets.  The single-point operators
-(fractional integrals, Weyl derivatives) face the same oracle on a smooth f,
-after a substitution that takes their kernel's power out of the integrand.
+fractional, sewing and Young solve must land within 5 of its own error
+estimates of that oracle, over several seeded phase sets.  The single-point
+operators (fractional integrals, Weyl derivatives) face the same oracle on a
+smooth f, after a substitution that takes their kernel's power out of the
+integrand.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 from nlyoung.fields import ProductField, Regularity
 from nlyoung.fraccalc import frac_integral_left, frac_integral_right, weyl_left, weyl_right
-from nlyoung.nonlinear import integrate_fractional
+from nlyoung.nonlinear import integrate_fractional, integrate_sewing
 from nlyoung.paths import make_function, make_weierstrass
 from nlyoung.quadrature import QuadratureConfig
 from nlyoung.young import young_integral
@@ -93,6 +94,16 @@ def test_fractional_within_estimates(seed):
         rep = integrate_fractional(ProductField(g, h), phi, Regularity(*reg), 0.0, 1.0, cfg, with_bounds=False)
         err = abs(rep.value - oracle(g, h, phi))
         assert err <= COVER * rep.error_estimate, (name, rep.value, err, rep.error_estimate)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sewing_within_estimates(seed):
+    # at the default tol and max_levels; converged says whether tol was met
+    for name, g, h, phi, _ in _cases(seed)[0]:
+        rep, _ = integrate_sewing(ProductField(g, h), phi, 0.0, 1.0)
+        err = abs(rep.value - oracle(g, h, phi))
+        assert err <= COVER * rep.error_estimate, (name, rep.value, err, rep.error_estimate)
+        assert rep.converged == (rep.error_estimate <= rep.params["tol"] * max(1.0, abs(rep.value))), name
 
 
 # The two media whose h is a series in x: the fractional grid's start reads

@@ -54,12 +54,15 @@ class _Counting:
     """A plain callable around f that counts the points it is evaluated at.
 
     It has no diff, on_grid or grid_factors, so every sample of f is a call
-    of f.
+    of f.  It keeps f's finest_frequency, if f has one, so that a solve
+    plans its grids and sweeps as it does for f.
     """
 
     def __init__(self, f):
         self.f = f
         self.points = 0
+        if hasattr(f, "finest_frequency"):
+            self.finest_frequency = f.finest_frequency
 
     def __call__(self, t):
         self.points += np.size(t)
@@ -206,11 +209,14 @@ def test_series_sampled_on_grids_are_never_called():
     rep, _ = integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=10, tol=0.0)
     assert g.points == phi.points == 0
     assert h.points == 2**rep.levels_used + 1  # h(phi) stays on the call
-    # one factorization per series and sweep: levels 0-10 take one sweep,
-    # levels 0-16 two (0-12 and 13-16)
+    # one factorization per series and sweep: with tol 0 a solve sweeps once,
+    # to max_levels; at the default tol, to the floor level 14 and on to 16
     assert (g.builds, phi.builds, h.builds) == (1, 1, 0)
     integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=16, tol=0.0)
-    assert (g.builds, phi.builds, h.builds) == (3, 3, 0)
+    assert (g.builds, phi.builds, h.builds) == (2, 2, 0)
+    rep, _ = integrate_sewing(ProductField(g, h), phi, 0.0, 1.0, max_levels=16)
+    assert rep.params["sweeps"] == [14, 16]
+    assert (g.builds, phi.builds, h.builds) == (4, 4, 0)
     assert g.points == phi.points == 0
     reg = Regularity(0.6, 0.9, 0.7)
     cfg = QuadratureConfig(n_outer=64)
@@ -246,7 +252,7 @@ def test_sewing_linear_case_first_order():
 
 def test_sewing_converges_and_traces(rough_case):
     w, phi, reg, _ = rough_case
-    rep, trace = integrate_sewing(w, phi, 0.0, 1.0, max_levels=16, tol=0.0)
+    rep, trace = integrate_sewing(w, phi, 0.0, 1.0, max_levels=16)
     assert rep.levels_used == 16
     assert rep.converged
     assert trace.fitted_order(8, 14) >= 0.2  # epsilon - 0.1 for eps = 0.3
@@ -463,16 +469,11 @@ def test_grid_rank_picks_the_sewing_route(rank, monkeypatch):
             assert trace.sums == _naive_germ_sums(w, phi, 0.13, 0.71, 12)
 
 
-def _swept_nodes(levels_used, max_levels):
-    """Nodes a solve sewn from its terms samples: a first sweep to level
-    min(max_levels, 12), and a second to max_levels if it stops above 12."""
-    first = 2 ** min(max_levels, 12) + 1
-    return first if levels_used <= 12 else first + 2**max_levels + 1
-
-
 @pytest.mark.parametrize("kind", ["sum", "diagonal"])
 @pytest.mark.parametrize("max_levels, tol", [(10, 0.0), (16, 1e-4), (16, 1e-3)])
 def test_multi_term_sewing_evaluates_each_node_once(kind, max_levels, tol):
+    # np.sin has no finest_frequency, so the floor level is max_levels: one
+    # sweep over 2^max_levels + 1 nodes
     gs = [_Counting(make_weierstrass(0.6, 12)), _Counting(make_weierstrass(0.8, 10, phases=[0.5] * 10))]
     hs = [_Counting(ident), _Counting(np.cos)]
     phi = _Counting(np.sin)
@@ -481,7 +482,8 @@ def test_multi_term_sewing_evaluates_each_node_once(kind, max_levels, tol):
         w = DiagonalField(w, _Counting(np.exp))
     rep, _ = integrate_sewing(w, phi, 0.0, 1.0, max_levels=max_levels, tol=tol)
     assert rep.params["stop_reason"] == ("tol" if tol else "max_levels")
-    nodes = _swept_nodes(rep.levels_used, max_levels)
+    assert rep.params["sweeps"] == [max_levels]
+    nodes = 2**max_levels + 1
     assert [f.points for f in (*gs, *hs, phi)] == [nodes] * 5
     if kind == "diagonal":  # each term's h_k is rho * h, rho called once per term
         assert w.density.points == 2 * nodes
@@ -620,12 +622,56 @@ def test_sewing_early_stop_of_raw_series_within_evaluator_bound():
 
 @pytest.mark.parametrize("max_levels, tol", [(10, 0.0), (16, 1e-4), (16, 1e-3)])
 def test_separable_sewing_evaluates_each_node_once(max_levels, tol):
-    # tol 1e-4 stops at level 14, past the first sweep; 1e-3 at level 11
+    # a phi of unknown scale (np.sin has no finest_frequency) is sewn in one
+    # sweep to max_levels, which meets tol 1e-4 and 1e-3 at level 16
     g = _Counting(make_weierstrass(0.6, 12))
     phi = _Counting(np.sin)
     rep, _ = integrate_sewing(ProductField(g, ident), phi, 0.0, 1.0, max_levels=max_levels, tol=tol)
-    assert rep.levels_used == {0.0: 10, 1e-4: 14, 1e-3: 11}[tol]
-    assert g.points == phi.points == _swept_nodes(rep.levels_used, max_levels)
+    assert rep.params["floor_level"] == rep.levels_used == max_levels
+    assert rep.params["stop_reason"] == ("tol" if tol else "max_levels")
+    assert g.points == phi.points == 2**max_levels + 1
+
+
+@pytest.mark.parametrize("tol, sweeps", [(1e-3, [14]), (1e-4, [14, 16]), (0.0, [18])])
+def test_sewing_sweep_plan(tol, sweeps):
+    # g and phi resolve on 2^12 cells of [0, 1], so the floor level is 14:
+    # tol 1e-3 stops there, having sampled 2^14 + 1 nodes; 1e-4 in a second
+    # sweep, to the level where E, decaying as it did over levels 12-14,
+    # meets it, plus one: 2^14 + 1 nodes and then 2^16 + 1; tol 0 forms
+    # every level up to max_levels in one sweep
+    g = _Counting(make_weierstrass(0.6, 12))
+    phi = _Counting(make_weierstrass(0.7, 12))
+    rep, trace = integrate_sewing(ProductField(g, ident), phi, 0.0, 1.0, max_levels=18, tol=tol)
+    assert rep.params["floor_level"] == 14
+    assert rep.params["sweeps"] == sweeps
+    assert rep.levels_used == sweeps[-1] and len(trace.sums) == sweeps[-1] + 1
+    assert g.points == phi.points == sum(2**last + 1 for last in sweeps)
+    assert rep.params["stop_reason"] == ("tol" if tol else "max_levels")
+    assert rep.converged == (rep.error_estimate <= tol * max(1.0, abs(rep.value)))
+
+
+def test_sewing_third_sweep_only_when_the_second_misses(monkeypatch):
+    # a second sweep that ends short of tol is followed by one to max_levels
+    monkeypatch.setattr(nonlinear, "_predicted_level", lambda est, target, floor, max_levels: floor + 1)
+    phi = _Counting(make_weierstrass(0.7, 12))
+    w = ProductField(make_weierstrass(0.6, 12), ident)
+    rep, _ = integrate_sewing(w, phi, 0.0, 1.0, max_levels=18, tol=1e-5)
+    assert rep.params["sweeps"] == [14, 15, 18]
+    assert phi.points == 2**14 + 2**15 + 2**18 + 3
+    rep, _ = integrate_sewing(w, phi, 0.0, 1.0, max_levels=18, tol=1e-4)
+    assert rep.params["sweeps"] == [14, 15]
+
+
+def test_sewing_second_sweep_level_from_the_estimates_decay():
+    # E falls 4x a level (two halvings) over levels F - 2..F: 16x above the
+    # target it needs two more levels, plus one
+    est = np.array([1.0, 1.0, 1024.0, 256.0, 64.0, 1024.0])
+    assert nonlinear._predicted_level(est, 4.0, 4, 18) == 7
+    assert nonlinear._predicted_level(est, 4.0, 4, 6) == 6  # at most max_levels
+    assert nonlinear._predicted_level(est, 63.0, 4, 18) == 6  # at least F + 2 once E misses
+    assert nonlinear._predicted_level(est, 512.0, 4, 18) == 5  # never below F + 1
+    assert nonlinear._predicted_level(est, 4.0, 5, 18) == 18  # E does not decay
+    assert nonlinear._predicted_level(est, 0.0, 4, 18) == 18  # tol 0 is met nowhere
 
 
 def test_sewing_stop_reason():
@@ -815,7 +861,7 @@ def test_medium_without_separable_terms_sewn_from_its_increments(max_levels, blo
     phi = _Counting(np.sin)
     rep, trace = integrate_sewing(w, phi, 0.13, 0.71, max_levels=max_levels, tol=0.0)
     assert rep.levels_used == max_levels
-    assert phi.points == _swept_nodes(rep.levels_used, max_levels)
+    assert phi.points == 2**max_levels + 1
     assert trace.sums == _naive_germ_sums(w, np.sin, 0.13, 0.71, max_levels)
 
 
